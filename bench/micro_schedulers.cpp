@@ -25,7 +25,8 @@ void BM_DistMisGbg(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        run_scheduler(SchedulerKind::kDistMisGbg, graph, seed++).num_slots);
+        run_scheduler(SchedulerKind::kDistMisGbg, graph, {.seed = seed++})
+            .num_slots);
 }
 BENCHMARK(BM_DistMisGbg);
 
@@ -34,7 +35,7 @@ void BM_DistMisGeneral(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        run_scheduler(SchedulerKind::kDistMisGeneral, graph, seed++)
+        run_scheduler(SchedulerKind::kDistMisGeneral, graph, {.seed = seed++})
             .num_slots);
 }
 BENCHMARK(BM_DistMisGeneral);
@@ -53,7 +54,7 @@ void BM_Dmgc(benchmark::State& state) {
   const Graph graph = fixed_gnm();
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        run_scheduler(SchedulerKind::kDmgc, graph, 1).num_slots);
+        run_scheduler(SchedulerKind::kDmgc, graph).num_slots);
 }
 BENCHMARK(BM_Dmgc);
 
@@ -61,7 +62,7 @@ void BM_GreedyReference(benchmark::State& state) {
   const Graph graph = fixed_gnm();
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        run_scheduler(SchedulerKind::kGreedy, graph, 1).num_slots);
+        run_scheduler(SchedulerKind::kGreedy, graph).num_slots);
 }
 BENCHMARK(BM_GreedyReference);
 

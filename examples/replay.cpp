@@ -29,12 +29,9 @@
 // The spec string is exactly what soak_repro_command() prints; on a failure
 // the tool shrinks the stream and prints the minimized repro line.
 //
-// Either mode accepts --shards=N to replay on the sharded engine path
-// (AsyncEngine::set_shards for DFS fault repros, SyncEngine::set_shards for
-// the synchronizer-based schedulers and distributed soak repairs). Sharding
-// is byte-identical to serial for every count, so a repro line replays the
-// same verdict with the flag added or removed; the flag is echoed in the
-// printed repro lines so a sharded replay stays a one-line paste.
+// Any flag the chosen mode does not read is rejected with a diagnostic
+// naming it (parse_replay_args, verify/scenario.h): a misspelled or stale
+// flag must never silently replay a different run.
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -96,19 +93,11 @@ int run_soak_replay(const fdlsp::CliArgs& args) {
     driver_options.distributed = true;  // fault plans act on the radio
   }
   if (args.get_int("distributed", 0) != 0) driver_options.distributed = true;
-  // Replays the stream's distributed repairs on the sharded engine path
-  // (byte-identical to serial for any count, so the verdict is unchanged).
-  const std::size_t shards =
-      static_cast<std::size_t>(args.get_int("shards", 0));
-  driver_options.shards = shards;
 
   SoakOracleOptions oracle_options;
   oracle_options.drift_band = args.get_double("soak-band", 0.0);
 
-  const std::string shards_flag =
-      shards > 0 ? " --shards=" + std::to_string(shards) : "";
   std::cout << "soak: " << soak_repro_command(spec, &oracle_options)
-            << shards_flag
             << (driver_options.distributed ? " (distributed engine)" : "")
             << "\n";
   if (driver_options.faults != nullptr)
@@ -149,7 +138,7 @@ int run_soak_replay(const fdlsp::CliArgs& args) {
                     ? soak_repro_command(shrunk.spec, faults, reliable,
                                          &oracle_options)
                     : soak_repro_command(shrunk.spec, &oracle_options))
-            << shards_flag << "\n";
+            << "\n";
   return 1;
 }
 
@@ -158,18 +147,16 @@ int run_soak_replay(const fdlsp::CliArgs& args) {
 int main(int argc, char** argv) {
   using namespace fdlsp;
   try {
-    const CliArgs args(argc, argv);
+    const CliArgs args = parse_replay_args(argc, argv);
     if (args.has("soak") && !args.has("help")) return run_soak_replay(args);
     if (args.has("help") || !args.has("scheduler")) {
       std::cout << "usage: replay --family=udg|gnm|tree|grid|ring|star --n=N "
                    "--density=D --seed=S --scheduler=NAME\n"
                    "       [--faults=drop=0.1,bp=0.05,crash=0.25,... |"
                    " --faults=none] [--reliable=0|1]\n"
-                   "       [--tuning=adaptive|fixed] [--prr-trace=FILE]"
-                   " [--shards=N]\n"
+                   "       [--prr-trace=FILE]\n"
                    "   or: replay --soak=SPEC [--soak-band=B]"
-                   " [--distributed=1] [--faults=...] [--reliable=0]"
-                   " [--shards=N]\n"
+                   " [--distributed=1] [--faults=...] [--reliable=0]\n"
                    "Paste the repro line a failing property test prints.\n"
                    "--prr-trace loads packet-reception ratios from a "
                    "measurement file into the fault plan's PRR matrix.\n";
@@ -193,31 +180,17 @@ int main(int argc, char** argv) {
       if (args.has("prr-trace"))
         spec.prr_levels = load_prr_levels(args.get("prr-trace", ""));
       const bool reliable = args.get_int("reliable", 1) != 0;
-      const std::string tuning_name = args.get("tuning", "adaptive");
-      FDLSP_REQUIRE(tuning_name == "adaptive" || tuning_name == "fixed",
-                    "unknown --tuning: " + tuning_name);
-      const TransportTuning tuning = tuning_name == "fixed"
-                                         ? TransportTuning::kFixed
-                                         : TransportTuning::kAdaptive;
-      // Replays on the sharded engine path (async for DFS, synchronous for
-      // the synchronizer-based schedulers) — byte-identical to serial for
-      // any count, so the verdict below is unchanged.
-      const std::size_t shards =
-          static_cast<std::size_t>(args.get_int("shards", 0));
       std::cout << "faults: " << format_fault_spec(spec)
-                << (reliable ? " (reliable wrapper on, " + tuning_name +
-                                   " transport)"
+                << (reliable ? " (reliable wrapper on)"
                              : " (reliable wrapper OFF)")
                 << "\n"
                 << "repro: "
                 << fault_repro_command(scenario, scheduler_name(kind), spec)
-                << (reliable ? "" : " --reliable=0")
-                << (shards > 0 ? " --shards=" + std::to_string(shards) : "")
-                << "\n";
+                << (reliable ? "" : " --reliable=0") << "\n";
 
-      const ScheduleResult faulted =
-          run_scheduler_faulted(kind, graph, scenario.seed, spec, reliable,
-                                tuning, nullptr, shards);
+      const ScheduleResult faulted = run_scheduler(
+          kind, graph,
+          {.seed = scenario.seed, .faults = &spec, .reliable = reliable});
       std::cout << scheduler_name(kind) << ": " << faulted.num_slots
                 << " slots, " << faulted.rounds << " rounds, "
                 << faulted.messages << " messages, "

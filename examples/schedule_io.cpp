@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   for (NodeId v : sub.to_original) positions.push_back(field.positions[v]);
 
   const ScheduleResult result =
-      run_scheduler(SchedulerKind::kDistMisGbg, sub.graph, 99);
+      run_scheduler(SchedulerKind::kDistMisGbg, sub.graph, {.seed = 99});
 
   const std::string graph_path = dir + "/field.graph";
   const std::string schedule_path = dir + "/field.schedule";

@@ -277,13 +277,11 @@ ScheduleResult run_dfs_schedule(const Graph& graph, const DfsOptions& options) {
   if (options.reliable) {
     for (auto& program : programs)
       program = std::make_unique<ReliableAsyncProgram>(std::move(program),
-                                                       spec,
-                                                       options.transport);
+                                                       spec);
   }
   AsyncEngine engine(graph, std::move(programs), options.delay_model,
                      options.seed);
   engine.set_trace(options.trace);
-  engine.set_shards(options.shards);
   engine.set_alloc_audit(options.audit);
   std::optional<FaultPlan> plan;
   if (options.faults != nullptr && options.faults->any()) {

@@ -420,9 +420,8 @@ ScheduleResult run_dist_mis(const Graph& graph,
     programs.reserve(graph.num_nodes());
     for (NodeId v = 0; v < graph.num_nodes(); ++v)
       programs.push_back(std::make_unique<ReliableSyncProgram>(
-          std::make_unique<SetNodeProgram>(set, v), spec, options.transport));
-    round_budget *=
-        ReliableSyncProgram::round_dilation(spec, options.transport);
+          std::make_unique<SetNodeProgram>(set, v), spec));
+    round_budget *= ReliableSyncProgram::round_dilation(spec);
     engine.emplace(graph, std::move(programs));
   } else {
     engine.emplace(graph, set);
@@ -495,7 +494,7 @@ ScheduleResult run_dist_mis_async(const Graph& graph,
                                   const AsyncDistMisOptions& options) {
   DistMisSet set(graph, options.variant, options.seed);
   // External contexts always report shard 0 — the synchronizer's lockstep
-  // serializes node callbacks regardless of the engine's shard count.
+  // serializes node callbacks.
   set.prepare_shards(1);
   RoundSynchronizer coordinator(set, options.max_rounds);
   const FaultSpec spec =
@@ -506,8 +505,8 @@ ScheduleResult run_dist_mis_async(const Graph& graph,
     auto node =
         std::make_unique<SyncOverAsyncProgram>(graph, set, v, coordinator);
     if (options.reliable)
-      programs.push_back(std::make_unique<ReliableAsyncProgram>(
-          std::move(node), spec, options.transport));
+      programs.push_back(
+          std::make_unique<ReliableAsyncProgram>(std::move(node), spec));
     else
       programs.push_back(std::move(node));
   }
@@ -516,7 +515,6 @@ ScheduleResult run_dist_mis_async(const Graph& graph,
       make_delay_schedule(options.delay_model, options.delay_seed));
   engine.set_trace(options.trace);
   engine.set_alloc_audit(options.audit);
-  engine.set_shards(options.shards);
   std::optional<FaultPlan> plan;
   if (options.faults != nullptr && options.faults->any()) {
     plan.emplace(spec, graph);

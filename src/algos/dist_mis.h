@@ -63,9 +63,6 @@ struct DistMisOptions {
   /// preserves the feasibility guarantee under lossy plans at a round cost
   /// of ReliableSyncProgram::round_dilation(*faults) per algorithm round.
   bool reliable = false;
-  /// Transport generation for the reliable wrapper (see sim/reliable.h);
-  /// meaningless without `reliable`.
-  TransportTuning transport = TransportTuning::kAdaptive;
   /// Shard engine state and rounds across this pool (see
   /// SyncEngine::set_thread_pool; byte-identical to the serial run for any
   /// thread or shard count). Not owned, may be null. Ignored — serial
@@ -106,11 +103,7 @@ struct AsyncDistMisOptions {
   /// (sim/reliable.h), restoring exactly-once FIFO delivery under message
   /// faults.
   bool reliable = false;
-  TransportTuning transport = TransportTuning::kAdaptive;
-  /// Shard count of the asynchronous engine (AsyncEngine::set_shards; byte-
-  /// identical to serial for any value). 0 picks the serial path.
-  std::size_t shards = 0;
-  /// Optional event observer (sim/trace.h); forces the serial engine path.
+  /// Optional event observer (sim/trace.h); not owned, may be null.
   SimTrace* trace = nullptr;
   /// Optional per-event allocation auditor (support/alloc_audit.h).
   AllocAudit* audit = nullptr;
@@ -124,8 +117,10 @@ struct AsyncDistMisOptions {
 /// Runs DistMIS on the asynchronous engine behind the α-synchronizer
 /// (sim/synchronizer.h). The resulting coloring, slot count, rounds and
 /// messages are byte-identical to run_dist_mis with the same variant and
-/// seed — for every delay model and shard count — which makes the whole
-/// synchronous corpus an oracle for the asynchronous engine.
+/// seed — for every delay model, and behind the reliable wrapper under any
+/// fault plan it can restore (tests/async_sync_equivalence_test.cpp) —
+/// which makes the whole synchronous corpus an oracle for the asynchronous
+/// engine.
 ScheduleResult run_dist_mis_async(const Graph& graph,
                                   const AsyncDistMisOptions& options);
 

@@ -307,8 +307,7 @@ DistRepairResult run_distributed_repair(const Graph& graph,
                                         const FaultSpec* faults,
                                         bool reliable,
                                         ThreadPool* pool,
-                                        std::size_t shards,
-                                        TransportTuning transport) {
+                                        std::size_t shards) {
   const ArcView view(graph);
   FDLSP_REQUIRE(stale.num_arcs() == view.num_arcs(),
                 "stale coloring does not match graph");
@@ -323,8 +322,8 @@ DistRepairResult run_distributed_repair(const Graph& graph,
   if (reliable) {
     for (auto& program : programs)
       program = std::make_unique<ReliableSyncProgram>(std::move(program),
-                                                      spec, transport);
-    round_budget *= ReliableSyncProgram::round_dilation(spec, transport);
+                                                      spec);
+    round_budget *= ReliableSyncProgram::round_dilation(spec);
   }
   SyncEngine engine(graph, std::move(programs));
   engine.set_trace(trace);

@@ -300,9 +300,8 @@ ScheduleResult run_randomized(const Graph& graph,
     programs.reserve(graph.num_nodes());
     for (NodeId v = 0; v < graph.num_nodes(); ++v)
       programs.push_back(std::make_unique<ReliableSyncProgram>(
-          std::make_unique<SetNodeProgram>(set, v), spec, options.transport));
-    round_budget *=
-        ReliableSyncProgram::round_dilation(spec, options.transport);
+          std::make_unique<SetNodeProgram>(set, v), spec));
+    round_budget *= ReliableSyncProgram::round_dilation(spec);
     engine.emplace(graph, std::move(programs));
   } else {
     engine.emplace(graph, set);

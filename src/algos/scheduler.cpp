@@ -29,46 +29,29 @@ std::string scheduler_name(SchedulerKind kind) {
   return {};
 }
 
-namespace {
-
-ScheduleResult dispatch(SchedulerKind kind, const Graph& graph,
-                        std::uint64_t seed, SimTrace* trace,
-                        const FaultSpec* faults, bool reliable,
-                        TransportTuning tuning = TransportTuning::kAdaptive,
-                        ThreadPool* pool = nullptr, std::size_t shards = 0) {
+ScheduleResult run_scheduler(SchedulerKind kind, const Graph& graph,
+                             const RunConfig& config) {
   switch (kind) {
-    case SchedulerKind::kDistMisGbg: {
-      DistMisOptions options;
-      options.variant = DistMisVariant::kGbg;
-      options.seed = seed;
-      options.trace = trace;
-      options.faults = faults;
-      options.reliable = reliable;
-      options.transport = tuning;
-      options.pool = pool;
-      options.shards = shards;
-      return run_dist_mis(graph, options);
-    }
+    case SchedulerKind::kDistMisGbg:
     case SchedulerKind::kDistMisGeneral: {
       DistMisOptions options;
-      options.variant = DistMisVariant::kGeneral;
-      options.seed = seed;
-      options.trace = trace;
-      options.faults = faults;
-      options.reliable = reliable;
-      options.transport = tuning;
-      options.pool = pool;
-      options.shards = shards;
+      options.variant = kind == SchedulerKind::kDistMisGbg
+                            ? DistMisVariant::kGbg
+                            : DistMisVariant::kGeneral;
+      options.seed = config.seed;
+      options.trace = config.trace;
+      options.faults = config.faults;
+      options.reliable = config.reliable;
+      options.pool = config.pool;
+      options.shards = config.shards;
       return run_dist_mis(graph, options);
     }
     case SchedulerKind::kDfs: {
       DfsOptions options;
-      options.seed = seed;
-      options.trace = trace;
-      options.faults = faults;
-      options.reliable = reliable;
-      options.transport = tuning;
-      options.shards = shards;
+      options.seed = config.seed;
+      options.trace = config.trace;
+      options.faults = config.faults;
+      options.reliable = config.reliable;
       return run_dfs_schedule(graph, options);
     }
     case SchedulerKind::kDmgc:
@@ -82,52 +65,17 @@ ScheduleResult dispatch(SchedulerKind kind, const Graph& graph,
     }
     case SchedulerKind::kRandomized: {
       RandomizedOptions options;
-      options.seed = seed;
-      options.trace = trace;
-      options.faults = faults;
-      options.reliable = reliable;
-      options.transport = tuning;
-      options.pool = pool;
-      options.shards = shards;
+      options.seed = config.seed;
+      options.trace = config.trace;
+      options.faults = config.faults;
+      options.reliable = config.reliable;
+      options.pool = config.pool;
+      options.shards = config.shards;
       return run_randomized(graph, options);
     }
   }
   FDLSP_REQUIRE(false, "unknown scheduler kind");
   return {};
-}
-
-}  // namespace
-
-ScheduleResult run_scheduler(SchedulerKind kind, const Graph& graph,
-                             std::uint64_t seed) {
-  return dispatch(kind, graph, seed, nullptr, nullptr, false);
-}
-
-ScheduleResult run_scheduler_traced(SchedulerKind kind, const Graph& graph,
-                                    std::uint64_t seed, SimTrace* trace) {
-  return dispatch(kind, graph, seed, trace, nullptr, false);
-}
-
-ScheduleResult run_scheduler_parallel(SchedulerKind kind, const Graph& graph,
-                                      std::uint64_t seed, ThreadPool& pool) {
-  return dispatch(kind, graph, seed, nullptr, nullptr, false,
-                  TransportTuning::kAdaptive, &pool);
-}
-
-ScheduleResult run_scheduler_sharded(SchedulerKind kind, const Graph& graph,
-                                     std::uint64_t seed, ThreadPool& pool,
-                                     std::size_t shards) {
-  return dispatch(kind, graph, seed, nullptr, nullptr, false,
-                  TransportTuning::kAdaptive, &pool, shards);
-}
-
-ScheduleResult run_scheduler_faulted(SchedulerKind kind, const Graph& graph,
-                                     std::uint64_t seed,
-                                     const FaultSpec& faults, bool reliable,
-                                     TransportTuning tuning, SimTrace* trace,
-                                     std::size_t shards) {
-  return dispatch(kind, graph, seed, trace, &faults, reliable, tuning,
-                  nullptr, shards);
 }
 
 }  // namespace fdlsp

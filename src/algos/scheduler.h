@@ -56,47 +56,35 @@ enum class SchedulerKind {
 /// Human-readable algorithm name (for tables).
 std::string scheduler_name(SchedulerKind kind);
 
-/// Runs the given algorithm on `graph` with deterministic seed.
+/// How to run a scheduler. Every field defaults to the plain run: serial,
+/// fault-free, unobserved. Fields that do not apply to an algorithm are
+/// ignored; the centralized algorithms (D-MGC, greedy) read none of them.
+struct RunConfig {
+  /// Seed of the algorithm's own randomness; DFS also draws its delay
+  /// schedule from it. Same seed, same schedule, byte for byte.
+  std::uint64_t seed = 1;
+  /// Simulation-event observer attached to the engine for the run
+  /// (sim/trace.h); not owned, may be null. Forces the serial engine path.
+  SimTrace* trace = nullptr;
+  /// Deterministic fault model (sim/fault.h); not owned, may be null. Under
+  /// a plan the result may be partial and `completed` false instead of the
+  /// run aborting (see ScheduleResult). Forces the serial engine path.
+  const FaultSpec* faults = nullptr;
+  /// Harden every node with the ack/retransmit wrapper (sim/reliable.h);
+  /// required for the feasibility guarantee under lossy plans.
+  bool reliable = false;
+  /// Shards the synchronous engine's state and rounds across this pool
+  /// (SyncEngine::set_thread_pool); byte-identical to the serial run for
+  /// any thread count. Not owned, may be null. DFS runs on the asynchronous
+  /// engine and ignores it.
+  ThreadPool* pool = nullptr;
+  /// SyncEngine shard count of a pooled run (SyncEngine::set_shards); 0
+  /// derives it from the pool size. Meaningless without `pool`.
+  std::size_t shards = 0;
+};
+
+/// Runs the given algorithm on `graph` under `config`.
 ScheduleResult run_scheduler(SchedulerKind kind, const Graph& graph,
-                             std::uint64_t seed);
-
-/// Same, with a simulation-event observer attached to the engine for the
-/// duration of the run (see sim/trace.h). Centralized algorithms (D-MGC,
-/// greedy) have no engine and emit no events. `trace` may be null, in which
-/// case this is exactly run_scheduler.
-ScheduleResult run_scheduler_traced(SchedulerKind kind, const Graph& graph,
-                                    std::uint64_t seed, SimTrace* trace);
-
-/// Same as run_scheduler, with the synchronous engine's state and rounds
-/// sharded across `pool` (see SyncEngine::set_thread_pool). Byte-identical
-/// to run_scheduler for any thread count; algorithms without a synchronous
-/// engine (DFS, D-MGC, greedy) ignore the pool and run as usual.
-ScheduleResult run_scheduler_parallel(SchedulerKind kind, const Graph& graph,
-                                      std::uint64_t seed, ThreadPool& pool);
-
-/// Same as run_scheduler_parallel with an explicit shard count (see
-/// SyncEngine::set_shards; 0 = pool-derived). Byte-identical to
-/// run_scheduler for any shard count — the contract the sharded-state suite
-/// of engine_parallel_test pins across scenario families.
-ScheduleResult run_scheduler_sharded(SchedulerKind kind, const Graph& graph,
-                                     std::uint64_t seed, ThreadPool& pool,
-                                     std::size_t shards);
-
-/// Runs the algorithm under a deterministic fault model (sim/fault.h).
-/// `reliable` additionally hardens every node with the ack/retransmit
-/// wrapper (sim/reliable.h) — required for the run to keep its feasibility
-/// guarantee under lossy plans. `tuning` selects the transport generation
-/// (fixed-cadence legacy vs adaptive backoff + failure detection); it only
-/// matters with `reliable`. Centralized algorithms (D-MGC, greedy) have no
-/// engine and execute fault-free; their result is the clean one. `trace`
-/// may be null. `shards` replays the run on the sharded engine path
-/// (AsyncEngine::set_shards for DFS, SyncEngine::set_shards for the
-/// synchronizer-based schedulers; 0 = serial) — byte-identical to serial
-/// for any value, so fault repro lines replay unchanged on either path.
-ScheduleResult run_scheduler_faulted(
-    SchedulerKind kind, const Graph& graph, std::uint64_t seed,
-    const FaultSpec& faults, bool reliable,
-    TransportTuning tuning = TransportTuning::kAdaptive,
-    SimTrace* trace = nullptr, std::size_t shards = 0);
+                             const RunConfig& config = {});
 
 }  // namespace fdlsp

@@ -20,7 +20,7 @@ class PointAccumulator {
   PointResult& result;
   std::mutex mutex;
 
-  void fold(const Graph& graph, const RunConfig& config,
+  void fold(const Graph& graph, const SweepConfig& config,
             std::uint64_t instance_seed) {
     struct Sample {
       SchedulerKind kind;
@@ -56,7 +56,7 @@ class PointAccumulator {
 
 }  // namespace
 
-PointResult run_udg_point(const UdgPoint& point, const RunConfig& config,
+PointResult run_udg_point(const UdgPoint& point, const SweepConfig& config,
                           ThreadPool& pool) {
   PointResult result;
   result.label = "n=" + std::to_string(point.nodes);
@@ -72,7 +72,7 @@ PointResult run_udg_point(const UdgPoint& point, const RunConfig& config,
 }
 
 PointResult run_general_point(const GeneralPoint& point,
-                              const RunConfig& config, ThreadPool& pool) {
+                              const SweepConfig& config, ThreadPool& pool) {
   PointResult result;
   result.label = "m=" + std::to_string(point.edges);
   PointAccumulator accumulator{result, {}};

@@ -26,7 +26,8 @@ std::vector<GeneralPoint> general_series(std::size_t nodes) {
 ScheduleResult run_scheduler_on_components(SchedulerKind kind,
                                            const Graph& graph,
                                            std::uint64_t seed) {
-  if (kind != SchedulerKind::kDfs) return run_scheduler(kind, graph, seed);
+  if (kind != SchedulerKind::kDfs)
+    return run_scheduler(kind, graph, {.seed = seed});
 
   // DFS needs a connected traversal: schedule each component independently
   // and let components share slots (no cross-component conflicts exist).
@@ -34,7 +35,7 @@ ScheduleResult run_scheduler_on_components(SchedulerKind kind,
   const std::size_t components =
       labels.empty() ? 0
                      : *std::max_element(labels.begin(), labels.end()) + 1;
-  if (components <= 1) return run_scheduler(kind, graph, seed);
+  if (components <= 1) return run_scheduler(kind, graph, {.seed = seed});
 
   ScheduleResult total;
   total.coloring = ArcColoring(2 * graph.num_edges());
@@ -45,7 +46,8 @@ ScheduleResult run_scheduler_on_components(SchedulerKind kind,
       if (labels[v] == comp) nodes.push_back(v);
     if (nodes.size() <= 1) continue;
     const InducedSubgraph sub = induced_subgraph(graph, nodes);
-    const ScheduleResult part = run_scheduler(kind, sub.graph, seed + comp);
+    const ScheduleResult part = run_scheduler(
+        kind, sub.graph, {.seed = seed + comp});
     // Map sub-arc colors back to the global arc ids.
     const ArcView sub_view(sub.graph);
     for (ArcId a = 0; a < sub_view.num_arcs(); ++a) {

@@ -166,19 +166,9 @@ constexpr std::size_t kSyncProbeInterval = 4;
 
 }  // namespace
 
-std::size_t ReliableSyncProgram::round_dilation(const FaultSpec& spec,
-                                                TransportTuning tuning) {
+std::size_t ReliableSyncProgram::round_dilation(const FaultSpec& spec) {
   const std::size_t one_way = one_way_budget(spec);
   const std::size_t stall = stall_bound(spec);
-  if (tuning == TransportTuning::kFixed) {
-    // Go-back-N retransmits every other outer round; each failed attempt
-    // consumes at least one unit of the frame channel's loss budget, so at
-    // most one_way+1 attempts are needed — frames land within 2*one_way+2
-    // outer rounds. Down windows can additionally stall the channel for
-    // their whole duration. The +4 margin covers the delivery round offset
-    // and keeps the window even.
-    return 2 * one_way + 4 + stall;
-  }
   // Adaptive pacing spaces attempts up to kSyncWorstSpacing rounds apart,
   // and each failed attempt still consumes frame-channel loss budget, so
   // delivery needs at most kSyncWorstSpacing*(one_way+1) rounds plus
@@ -196,11 +186,8 @@ std::size_t ReliableSyncProgram::round_dilation(const FaultSpec& spec,
 }
 
 ReliableSyncProgram::ReliableSyncProgram(std::unique_ptr<SyncProgram> inner,
-                                         const FaultSpec& spec,
-                                         TransportTuning tuning)
-    : inner_(std::move(inner)),
-      tuning_(tuning),
-      dilation_(round_dilation(spec, tuning)) {
+                                         const FaultSpec& spec)
+    : inner_(std::move(inner)), dilation_(round_dilation(spec)) {
   FDLSP_REQUIRE(inner_ != nullptr, "reliable wrapper needs a program");
   // A live peer acks every delivered frame within two rounds, so failed
   // attempts past the *round-trip* loss budget cannot be explained by
@@ -288,13 +275,13 @@ void ReliableSyncProgram::capture_send(SyncContext& ctx, NodeId to,
                              static_cast<std::int64_t>(next_inner_round_),
                              message);
   if (state.health == PeerHealth::kSuspected) {
-    state.parked.push_back(PendingFrame{state.next_seq, ctx.round(), frame});
+    state.parked.push_back(PendingFrame{state.next_seq, frame});
     ++state.next_seq;
     return;
   }
   if (state.pending.empty())
     state.next_retx = ctx.round() + kSyncBaseInterval;
-  state.pending.push_back(PendingFrame{state.next_seq, ctx.round(), frame});
+  state.pending.push_back(PendingFrame{state.next_seq, frame});
   ++state.next_seq;
   ctx.send(to, std::move(frame));
 }
@@ -312,7 +299,7 @@ std::size_t ReliableSyncProgram::backoff_interval(const SyncContext& ctx,
   return interval;
 }
 
-void ReliableSyncProgram::sweep_adaptive(SyncContext& ctx, std::size_t round) {
+void ReliableSyncProgram::sweep(SyncContext& ctx, std::size_t round) {
   for (PeerState& state : peers_) {
     if (state.health == PeerHealth::kDead) continue;
     if (state.health == PeerHealth::kSuspected) {
@@ -360,25 +347,6 @@ void ReliableSyncProgram::sweep_adaptive(SyncContext& ctx, std::size_t round) {
   }
 }
 
-void ReliableSyncProgram::sweep_fixed(SyncContext& ctx, std::size_t round) {
-  // First-generation transport: resend everything unacked every other
-  // round, and abandon frames two full windows old — by then a live peer
-  // has provably received them (only the acks can still be missing), so an
-  // unacked survivor means the peer is dead.
-  if (round % 2 != 0) return;
-  for (PeerState& state : peers_) {
-    const std::size_t before = state.pending.size();
-    std::erase_if(state.pending,
-                  [this, round](const PendingFrame& frame) {
-                    return round >= frame.sent_round + 2 * dilation_;
-                  });
-    stats_.abandoned += before - state.pending.size();
-    for (const PendingFrame& frame : state.pending)
-      ctx.send(state.peer, frame.frame);
-    stats_.retransmits += state.pending.size();
-  }
-}
-
 void ReliableSyncProgram::on_round(SyncContext& ctx,
                                    std::span<const Message> inbox) {
   const std::size_t round = ctx.round();
@@ -408,11 +376,7 @@ void ReliableSyncProgram::on_round(SyncContext& ctx,
   for (NodeId peer : ack_due_)
     ctx.send(peer, make_ack(ctx.self(), peer, peer_state(peer).received));
 
-  if (tuning_ == TransportTuning::kAdaptive) {
-    sweep_adaptive(ctx, round);
-  } else {
-    sweep_fixed(ctx, round);
-  }
+  sweep(ctx, round);
 
   // Window boundary: assemble the previous inner round's inbox and run the
   // wrapped program one round.
@@ -481,28 +445,13 @@ NodeId cookie_peer(std::int64_t cookie) {
 }  // namespace
 
 ReliableAsyncProgram::ReliableAsyncProgram(std::unique_ptr<AsyncProgram> inner,
-                                           const FaultSpec& spec,
-                                           TransportTuning tuning)
-    : inner_(std::move(inner)), tuning_(tuning) {
+                                           const FaultSpec& spec)
+    : inner_(std::move(inner)) {
   FDLSP_REQUIRE(inner_ != nullptr, "reliable wrapper needs a program");
-  const std::size_t one_way = one_way_budget(spec);
-  const std::size_t round_trip = 2 * one_way;
-  // kFixed: each failed retransmission attempt consumes loss budget on the
-  // frame or the ack channel; once both budgets are exhausted the next
-  // attempt succeeds. Down windows can stall attempts on each path.
-  give_up_attempts_ = round_trip + 8;
-  if (spec.link_down_fraction > 0.0)
-    give_up_attempts_ +=
-        static_cast<std::size_t>(spec.link_down_duration / kRetransmitPeriod) +
-        2;
-  if (spec.region_count > 0)
-    give_up_attempts_ += static_cast<std::size_t>(
-                             static_cast<double>(spec.region_count) *
-                             spec.region_duration / kRetransmitPeriod) +
-                         2;
-  // kAdaptive: a live peer acks within one RTO unless loss burned budget,
-  // so suspicion needs more silence than the round-trip budget explains;
-  // the probe budget additionally outlasts every finite outage window.
+  const std::size_t round_trip = 2 * one_way_budget(spec);
+  // A live peer acks within one RTO unless loss burned budget, so
+  // suspicion needs more silence than the round-trip budget explains; the
+  // probe budget additionally outlasts every finite outage window.
   suspect_after_ = round_trip + 4;
   probe_budget_ = static_cast<std::size_t>(
                       static_cast<double>(stall_bound(spec)) / kProbePeriod) +
@@ -602,10 +551,7 @@ void ReliableAsyncProgram::capture_send(AsyncContext& ctx, NodeId to,
       PendingFrame{state.next_seq, std::move(frame), ctx.now(), false});
   ++state.next_seq;
   ctx.send_copy(to, state.pending.back().frame);
-  arm_timer(ctx, state,
-            tuning_ == TransportTuning::kAdaptive
-                ? retransmit_interval(ctx, state)
-                : kRetransmitPeriod);
+  arm_timer(ctx, state, retransmit_interval(ctx, state));
 }
 
 void ReliableAsyncProgram::on_start(AsyncContext& ctx) {
@@ -690,8 +636,7 @@ void ReliableAsyncProgram::handle_ack(AsyncContext& ctx,
     const PendingFrame* newest = nullptr;
     for (const PendingFrame& frame : state.pending)
       if (frame.seq <= cumulative) newest = &frame;
-    if (newest != nullptr && !newest->retransmitted &&
-        tuning_ == TransportTuning::kAdaptive) {
+    if (newest != nullptr && !newest->retransmitted) {
       const double sample = ctx.now() - newest->sent_at;
       state.srtt = state.srtt > 0.0
                        ? state.srtt + (sample - state.srtt) * 0.125
@@ -748,23 +693,6 @@ void ReliableAsyncProgram::on_timer(AsyncContext& ctx, std::int64_t cookie) {
   const NodeId peer = cookie_peer(cookie);
   PeerState& state = peer_state(peer);
   state.timer_armed = false;
-  if (tuning_ == TransportTuning::kFixed) {
-    if (state.pending.empty()) return;
-    ++state.attempts;
-    if (state.attempts > give_up_attempts_) {
-      // A live peer would have acked within the attempt budget: either
-      // these frames were delivered (acks lost past the cap is impossible)
-      // or the peer is dead. Stop resending so the run can quiesce.
-      stats_.abandoned += state.pending.size();
-      state.pending.clear();
-      return;
-    }
-    for (const PendingFrame& frame : state.pending)
-      ctx.send_copy(peer, frame.frame);
-    stats_.retransmits += state.pending.size();
-    arm_timer(ctx, state, kRetransmitPeriod);
-    return;
-  }
   if (state.health == PeerHealth::kDead) return;
   if (state.health == PeerHealth::kSuspected) {
     if (state.probes_sent >= probe_budget_) {

@@ -16,10 +16,7 @@
 // retransmitted frame is delivered within a computable window; see
 // round_dilation() below.
 //
-// Transport tuning. TransportTuning::kFixed is the first-generation
-// transport: retransmit on a fixed cadence, give up unconditionally after a
-// budget sized so a live peer would provably have answered. kAdaptive (the
-// default) replaces both halves:
+// Transport. Two mechanisms keep a lossy channel both fast and live:
 //
 //   * Pacing — retransmits back off exponentially (sync: 2 -> 4 rounds;
 //     async: an RTT/loss-adaptive RTO, clamped) with a deterministic jitter
@@ -29,13 +26,13 @@
 //     retransmitted frames contribute no sample) and an EWMA loss rate that
 //     scales the timeout.
 //
-//   * Failure detection — the binary give-up becomes a per-peer
-//     trusted / suspected / dead state machine. A peer unheard for more
-//     failed attempts than bounded loss alone could explain (suspect_after:
-//     the full round-trip loss budget plus margin) becomes *suspected*:
-//     data frames for it are parked and the wrapper probes with heartbeats
-//     on a fixed cadence. Any checksum-valid message from the peer
-//     re-trusts it (parked frames resume). Only when the probe budget —
+//   * Failure detection — a per-peer trusted / suspected / dead state
+//     machine. A peer unheard for more failed attempts than bounded loss
+//     alone could explain (suspect_after: the full round-trip loss budget
+//     plus margin) becomes *suspected*: data frames for it are parked and
+//     the wrapper probes with heartbeats on a fixed cadence. Any
+//     checksum-valid message from the peer re-trusts it (parked frames
+//     resume). Only when the probe budget —
 //     sized to outlast every finite churn/outage window plus the loss
 //     budget — is also exhausted is the peer declared *dead*: parked and
 //     pending frames are dropped (counted as `abandoned`) and the channel
@@ -48,7 +45,7 @@
 // Synchronous wrapper — round dilation. Lock-step rounds are the engine's
 // semantic, so reliability must preserve "all round-k messages arrive
 // before round k+1". The wrapper runs inner round k at outer round k*R
-// (R = round_dilation(spec, tuning)) and uses the R-1 outer rounds in
+// (R = round_dilation(spec)) and uses the R-1 outer rounds in
 // between as the retransmission window: frames carry their inner round
 // number, receivers buffer them per peer, and the inner inbox for round k
 // is assembled — sorted by (peer, sequence) for determinism — once the
@@ -78,12 +75,6 @@ namespace fdlsp {
 inline constexpr std::int32_t kReliableFrameTag = 0x52464C46;      // "RFLF"
 inline constexpr std::int32_t kReliableAckTag = 0x52464C41;        // "RFLA"
 inline constexpr std::int32_t kReliableHeartbeatTag = 0x52464C48;  // "RFLH"
-
-/// Which transport generation a reliable wrapper runs.
-enum class TransportTuning {
-  kFixed,     ///< fixed retransmit cadence + unconditional give-up (legacy)
-  kAdaptive,  ///< backoff + EWMA estimation + suspect/trust failure detector
-};
 
 /// Per-peer verdict of the failure detector.
 enum class PeerHealth : std::uint8_t {
@@ -117,17 +108,15 @@ class ReliableSyncProgram final : public SyncProgram {
  public:
   /// `spec` must be the spec of the FaultPlan installed on the engine: the
   /// dilation factor and the detector budgets are derived from its loss
-  /// bounds. `tuning` selects the transport generation.
+  /// bounds.
   ReliableSyncProgram(std::unique_ptr<SyncProgram> inner,
-                      const FaultSpec& spec,
-                      TransportTuning tuning = TransportTuning::kAdaptive);
+                      const FaultSpec& spec);
 
   /// Outer rounds per inner round: the retransmission window sized so that
   /// bounded per-channel loss (i.i.d. + PRR + burst budgets), every finite
-  /// churn/outage window, and — under kAdaptive — one suspect/probe/retrust
-  /// cycle cannot delay a frame past its assembly point.
-  static std::size_t round_dilation(
-      const FaultSpec& spec, TransportTuning tuning = TransportTuning::kAdaptive);
+  /// churn/outage window, and one suspect/probe/retrust cycle cannot delay
+  /// a frame past its assembly point.
+  static std::size_t round_dilation(const FaultSpec& spec);
 
   /// The wrapped program (result extraction after a run).
   SyncProgram& inner() noexcept { return *inner_; }
@@ -149,8 +138,7 @@ class ReliableSyncProgram final : public SyncProgram {
  private:
   struct PendingFrame {
     std::int64_t seq;
-    std::size_t sent_round;  // outer round of first transmission
-    Message frame;           // fully framed, ready to resend
+    Message frame;  // fully framed, ready to resend
   };
   struct BufferedFrame {
     std::int64_t seq;
@@ -176,13 +164,11 @@ class ReliableSyncProgram final : public SyncProgram {
   void handle_frame(SyncContext& ctx, const Message& message);
   void handle_ack(const Message& message, std::size_t round);
   void heard(PeerState& state, std::size_t round);
-  void sweep_adaptive(SyncContext& ctx, std::size_t round);
-  void sweep_fixed(SyncContext& ctx, std::size_t round);
+  void sweep(SyncContext& ctx, std::size_t round);
   std::size_t backoff_interval(const SyncContext& ctx, const PeerState& state);
   bool channels_idle() const;
 
   std::unique_ptr<SyncProgram> inner_;
-  TransportTuning tuning_;
   std::size_t dilation_;
   std::size_t suspect_after_;  // failed sweeps before kSuspected
   std::size_t probe_budget_;   // heartbeats before kDead
@@ -199,8 +185,7 @@ class ReliableAsyncProgram final : public AsyncProgram {
   /// `spec` must be the spec of the FaultPlan installed on the engine: the
   /// retransmission and detector budgets are derived from its loss bounds.
   ReliableAsyncProgram(std::unique_ptr<AsyncProgram> inner,
-                       const FaultSpec& spec,
-                       TransportTuning tuning = TransportTuning::kAdaptive);
+                       const FaultSpec& spec);
 
   /// The wrapped program (result extraction after a run).
   AsyncProgram& inner() noexcept { return *inner_; }
@@ -259,10 +244,8 @@ class ReliableAsyncProgram final : public AsyncProgram {
   void recycle_frame(Message&& frame);
 
   std::unique_ptr<AsyncProgram> inner_;
-  TransportTuning tuning_;
-  std::size_t give_up_attempts_;  // kFixed: attempts before abandoning
-  std::size_t suspect_after_;     // kAdaptive: attempts before kSuspected
-  std::size_t probe_budget_;      // kAdaptive: heartbeats before kDead
+  std::size_t suspect_after_;     // attempts before kSuspected
+  std::size_t probe_budget_;      // heartbeats before kDead
   std::vector<PeerState> peers_;  // sorted by peer id
   std::vector<NodeId> ever_suspected_;  // sorted, deduplicated
   /// Retired frame buffers, recycled into new frames: once every channel has

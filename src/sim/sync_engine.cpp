@@ -249,7 +249,6 @@ void SyncEngine::deliver_faulted(ArcId channel, NodeId from, NodeId to,
     ++faults_->stats().link_down_drops;
     return;
   }
-  // fdlsp-lint: hot — region outage test is a per-edge bitmask probe
   if (faults_->region_down(channel, now)) {
     ++faults_->stats().region_drops;
     return;

@@ -7,7 +7,7 @@
 // level-1 horizon lands in an overflow min-heap. Insertion is O(1) — a
 // multiply, a bucket push and a bitmap bit; each bucket is drained exactly
 // once into a small "due heap" ordered by (time, sequence), so pops
-// preserve the engine's exact global event order — the wheel changes
+// preserve the engine's exact event order — the wheel changes
 // *where* an event waits, never *when* it fires or how it ties against
 // other events.
 //
@@ -142,7 +142,7 @@ class EventWheel {
            static_cast<std::uint64_t>(std::countr_zero(rot));
   }
 
-  /// Ensures the due heap holds the global minimum: drains level-0 buckets
+  /// Ensures the due heap holds the wheel's minimum: drains level-0 buckets
   /// (cascading level 1 and the overflow heap when a window is exhausted)
   /// until the due heap is nonempty. The bitmaps make every step a jump to
   /// a nonempty bucket, so the loop runs O(1) amortized per pop even when

@@ -162,7 +162,7 @@ SoakDriver::Scheduled SoakDriver::schedule(const ArcView& view,
   if (options_.distributed) {
     DistRepairResult dist = run_distributed_repair(
         view.graph(), stale, event_seed, options_.max_rounds, options_.trace,
-        options_.faults, options_.reliable, options_.pool, options_.shards);
+        options_.faults, options_.reliable, options_.pool);
     out.coloring = std::move(dist.coloring);
     if (!dist.completed || !out.coloring.complete() ||
         find_violation(view, out.coloring, &*index_).has_value()) {

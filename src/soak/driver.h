@@ -73,10 +73,6 @@ struct SoakOptions {
   bool reliable = false;              ///< ack/retransmit hardening
   SimTrace* trace = nullptr;          ///< observes distributed engine events
   ThreadPool* pool = nullptr;         ///< shards distributed engine rounds
-  /// Explicit engine shard count for distributed repairs (0 = pool-derived;
-  /// see SyncEngine::set_shards). Byte-identical to serial for any value,
-  /// so soak repro lines replay unchanged on the sharded path.
-  std::size_t shards = 0;
   std::size_t max_rounds = 1'000'000;
 };
 

@@ -1,6 +1,6 @@
 #include "support/cli.h"
 
-#include <string_view>
+#include <algorithm>
 
 #include "support/check.h"
 
@@ -41,6 +41,13 @@ std::int64_t CliArgs::get_int(const std::string& name,
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   return it == values_.end() ? fallback : std::stod(it->second);
+}
+
+void CliArgs::reject_unknown(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& [name, value] : values_)
+    FDLSP_REQUIRE(std::find(known.begin(), known.end(), name) != known.end(),
+                  "unknown flag --" + name);
 }
 
 }  // namespace fdlsp

@@ -2,8 +2,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace fdlsp {
 
@@ -24,6 +26,10 @@ class CliArgs {
 
   /// Double value of --name, or fallback if absent.
   double get_double(const std::string& name, double fallback) const;
+
+  /// Raises contract_error naming the first flag not in `known`, for tools
+  /// where a misspelled or stale flag must fail instead of being ignored.
+  void reject_unknown(std::initializer_list<std::string_view> known) const;
 
  private:
   std::map<std::string, std::string> values_;

@@ -120,11 +120,13 @@ ScenarioOutcome check_shard_determinism(
     std::span<const std::size_t> shard_counts, ThreadPool& pool) {
   ScenarioOutcome outcome;
   const Graph graph = materialize(scenario);
-  const ScheduleResult serial = run_scheduler(kind, graph, scenario.seed);
+  const ScheduleResult serial =
+      run_scheduler(kind, graph, {.seed = scenario.seed});
   for (const std::size_t shards : shard_counts) {
     ++outcome.checks;
     const ScheduleResult sharded =
-        run_scheduler_sharded(kind, graph, scenario.seed, pool, shards);
+        run_scheduler(kind, graph,
+                      {.seed = scenario.seed, .pool = &pool, .shards = shards});
     const bool identical = serial.coloring.raw() == sharded.coloring.raw() &&
                            serial.num_slots == sharded.num_slots &&
                            serial.rounds == sharded.rounds &&

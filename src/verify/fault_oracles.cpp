@@ -120,13 +120,13 @@ OracleVerdict check_fault_result(const Graph& graph,
 OracleVerdict check_fault_quiescence(SchedulerKind kind, const Graph& graph,
                                      std::uint64_t seed,
                                      const FaultSpec& spec) {
-  const ScheduleResult first =
-      run_scheduler_faulted(kind, graph, seed, spec, /*reliable=*/true);
+  const ScheduleResult first = run_scheduler(
+      kind, graph, {.seed = seed, .faults = &spec, .reliable = true});
   OracleVerdict verdict = check_fault_result(graph, first, &spec);
   if (!verdict.ok) return verdict;
 
-  const ScheduleResult second =
-      run_scheduler_faulted(kind, graph, seed, spec, /*reliable=*/true);
+  const ScheduleResult second = run_scheduler(
+      kind, graph, {.seed = seed, .faults = &spec, .reliable = true});
   for (ArcId a = 0; a < first.coloring.num_arcs(); ++a) {
     if (first.coloring.color(a) == second.coloring.color(a)) continue;
     verdict.ok = false;
@@ -152,8 +152,8 @@ OracleVerdict check_burst_quiescence(SchedulerKind kind, const Graph& graph,
                                      const FaultSpec& spec) {
   OracleVerdict verdict = check_fault_quiescence(kind, graph, seed, spec);
   if (!verdict.ok) return verdict;
-  const ScheduleResult faulted =
-      run_scheduler_faulted(kind, graph, seed, spec, /*reliable=*/true);
+  const ScheduleResult faulted = run_scheduler(
+      kind, graph, {.seed = seed, .faults = &spec, .reliable = true});
   // Round bound: the wrapper restores perfect-channel semantics, so the
   // inner protocol consumes the same rounds as a clean run and the outer
   // round count is bounded by clean rounds times the provisioned dilation,
@@ -163,7 +163,7 @@ OracleVerdict check_burst_quiescence(SchedulerKind kind, const Graph& graph,
   // schedulers have no rounds — their anti-livelock statement is the event
   // watchdog behind `completed`, already checked above.
   if (faulted.rounds > 0 && spec.crash_fraction == 0.0) {
-    const ScheduleResult clean = run_scheduler(kind, graph, seed);
+    const ScheduleResult clean = run_scheduler(kind, graph, {.seed = seed});
     const std::size_t dilation = ReliableSyncProgram::round_dilation(spec);
     const std::size_t bound = (clean.rounds + 8) * dilation;
     if (faulted.rounds > bound) {
@@ -182,8 +182,8 @@ OracleVerdict check_burst_quiescence(SchedulerKind kind, const Graph& graph,
 OracleVerdict check_detector(SchedulerKind kind, const Graph& graph,
                              std::uint64_t seed, const FaultSpec& spec) {
   OracleVerdict verdict;
-  const ScheduleResult result =
-      run_scheduler_faulted(kind, graph, seed, spec, /*reliable=*/true);
+  const ScheduleResult result = run_scheduler(
+      kind, graph, {.seed = seed, .faults = &spec, .reliable = true});
   // Consistency: under the adaptive transport, frames die only through the
   // suspected -> dead path, so abandonment without a suspicion means the
   // state machine was bypassed; and re-trusts consume prior suspicions.
@@ -228,7 +228,7 @@ CrashRecoveryReport check_crash_recovery(SchedulerKind kind,
                                          const FaultSpec& spec) {
   CrashRecoveryReport report;
   const ArcView view(graph);
-  const ScheduleResult clean = run_scheduler(kind, graph, seed);
+  const ScheduleResult clean = run_scheduler(kind, graph, {.seed = seed});
 
   // Orphan the schedule the way the fault model says: a crashed node
   // recovers with amnesia (its out-arc slots are gone), a churned edge

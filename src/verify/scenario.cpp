@@ -90,6 +90,18 @@ std::string repro_command(const Scenario& scenario,
   return buffer;
 }
 
+CliArgs parse_replay_args(int argc, const char* const* argv) {
+  CliArgs args(argc, argv);
+  if (args.has("soak")) {
+    args.reject_unknown(
+        {"help", "soak", "soak-band", "distributed", "faults", "reliable"});
+  } else {
+    args.reject_unknown({"help", "family", "n", "density", "seed",
+                         "scheduler", "faults", "reliable", "prr-trace"});
+  }
+  return args;
+}
+
 std::string format_graph(const Graph& graph) {
   std::string out = "n=" + std::to_string(graph.num_nodes()) + " edges=[";
   bool first = true;

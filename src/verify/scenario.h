@@ -14,6 +14,7 @@
 
 #include "algos/scheduler.h"
 #include "graph/graph.h"
+#include "support/cli.h"
 
 namespace fdlsp {
 
@@ -64,6 +65,13 @@ inline std::string repro_command(const Scenario& scenario,
                                  SchedulerKind kind) {
   return repro_command(scenario, scheduler_name(kind));
 }
+
+/// Parses a replay command line (examples/replay): the flags
+/// repro_command(), fault_repro_command() and soak_repro_command() print,
+/// plus the tool's own knobs. A flag replay does not read raises
+/// contract_error naming it, so a stale or misspelled flag can never
+/// silently replay a different run.
+CliArgs parse_replay_args(int argc, const char* const* argv);
 
 /// Compact printable form of a graph ("n=4 edges=[(0,1),(1,2),(2,3)]") for
 /// embedding shrunk counterexamples in failure reports.

@@ -13,11 +13,11 @@
 // first ~430 of 451 rounds, and a 20+ round allocation-free tail.
 //
 // The asynchronous engine is held to the same standard, per *event* instead
-// of per round: a DistMIS run behind the α-synchronizer — serial and for
-// every shard count — and a run hardened with the reliable wrapper must
-// both reach an allocation-free steady-state tail. That covers the slab
-// event storage, the per-shard calendar queues and cross-shard lanes, the
-// synchronizer's frame recycling, and the reliable wrapper's frame pool.
+// of per round: a DistMIS run behind the α-synchronizer must reach an
+// allocation-free steady-state tail, and a run hardened with the reliable
+// wrapper is held to rarity and total bounds. That covers the slab event
+// storage, the calendar queue, the synchronizer's frame recycling, and the
+// reliable wrapper's frame pool.
 //
 // Under sanitizers the counting operator new hooks are compiled out
 // (support/alloc_audit.h) and the whole suite skips.
@@ -132,14 +132,12 @@ TEST(EngineAllocProfile, ShardedDistMisKeepsZeroAllocTailPerShardCount) {
 /// Runs asynchronous DistMIS-GBG with the per-event auditor attached and
 /// asserts the steady-state allocation profile. With `reliable`, every node
 /// is additionally hardened with the async ack/retransmit wrapper.
-void assert_async_steady_state_profile(const Graph& graph, std::size_t shards,
-                                       bool reliable) {
+void assert_async_steady_state_profile(const Graph& graph, bool reliable) {
   AllocAudit audit;
   AsyncMetrics engine_metrics;
   AsyncDistMisOptions options;
   options.variant = DistMisVariant::kGbg;
   options.seed = 42;
-  options.shards = shards;
   options.reliable = reliable;
   options.audit = &audit;
   options.engine_metrics = &engine_metrics;
@@ -154,7 +152,7 @@ void assert_async_steady_state_profile(const Graph& graph, std::size_t shards,
       << "fixture too small to have a steady state";
 
   // The same core invariant as the synchronous gate, per event: allocator
-  // traffic is warm-up (slab/lane/pool growth), never the steady state.
+  // traffic is warm-up (slab/wheel/pool growth), never the steady state.
   // (1) The run ends with a real allocation-free tail. The absolute margin
   //     is generous: warm-up ends once every recycling structure has hit
   //     its high-water mark, long before the last few thousand events.
@@ -183,19 +181,7 @@ void assert_async_steady_state_profile(const Graph& graph, std::size_t shards,
 TEST(EngineAllocProfile, AsyncDistMisReachesZeroAllocSteadyState) {
   if (!alloc_audit_enabled())
     GTEST_SKIP() << "allocation hooks compiled out (sanitizer build)";
-  assert_async_steady_state_profile(paper_udg(600), /*shards=*/0,
-                                    /*reliable=*/false);
-}
-
-TEST(EngineAllocProfile, ShardedAsyncDistMisKeepsZeroAllocTail) {
-  // Sharded event storage must preserve the tail: per-shard calendar
-  // queues, cross-shard post lanes, and the tournament merge all recycle —
-  // slab slots, lane capacity, and wheel buckets alike.
-  if (!alloc_audit_enabled())
-    GTEST_SKIP() << "allocation hooks compiled out (sanitizer build)";
-  const Graph graph = paper_udg(600);
-  for (const std::size_t shards : {2u, 8u})
-    assert_async_steady_state_profile(graph, shards, /*reliable=*/false);
+  assert_async_steady_state_profile(paper_udg(600), /*reliable=*/false);
 }
 
 TEST(EngineAllocProfile, ReliableAsyncDistMisKeepsZeroAllocTail) {
@@ -204,8 +190,7 @@ TEST(EngineAllocProfile, ReliableAsyncDistMisKeepsZeroAllocTail) {
   // allocation-free once the per-peer structures reach steady state.
   if (!alloc_audit_enabled())
     GTEST_SKIP() << "allocation hooks compiled out (sanitizer build)";
-  assert_async_steady_state_profile(paper_udg(300), /*shards=*/0,
-                                    /*reliable=*/true);
+  assert_async_steady_state_profile(paper_udg(300), /*reliable=*/true);
 }
 
 TEST(EngineAllocProfile, SerialAndPooledAgreeOnTheResult) {

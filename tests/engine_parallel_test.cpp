@@ -161,9 +161,9 @@ TEST(ParallelEngine, ByteIdenticalToSerialForAnyThreadCount) {
       for (const Scenario& scenario : scenarios) {
         const Graph graph = materialize(scenario);
         const ScheduleResult serial =
-            run_scheduler(kind, graph, scenario.seed);
+            run_scheduler(kind, graph, {.seed = scenario.seed});
         const ScheduleResult parallel =
-            run_scheduler_parallel(kind, graph, scenario.seed, pool);
+            run_scheduler(kind, graph, {.seed = scenario.seed, .pool = &pool});
         ASSERT_EQ(serial.coloring.raw(), parallel.coloring.raw())
             << "threads=" << threads << " "
             << repro_command(scenario, kind);
@@ -210,10 +210,10 @@ TEST(ParallelEngine, PoolReusableAcrossRuns) {
   // in itself between runs.
   ThreadPool pool(3);
   const Graph graph = generate_cycle(20);
-  const ScheduleResult first = run_scheduler_parallel(
-      SchedulerKind::kDistMisGbg, graph, 42, pool);
-  const ScheduleResult second = run_scheduler_parallel(
-      SchedulerKind::kDistMisGbg, graph, 42, pool);
+  const ScheduleResult first = run_scheduler(
+      SchedulerKind::kDistMisGbg, graph, {.seed = 42, .pool = &pool});
+  const ScheduleResult second = run_scheduler(
+      SchedulerKind::kDistMisGbg, graph, {.seed = 42, .pool = &pool});
   EXPECT_EQ(first.coloring.raw(), second.coloring.raw());
   EXPECT_EQ(first.rounds, second.rounds);
   EXPECT_EQ(first.messages, second.messages);
@@ -387,8 +387,8 @@ TEST(RunScenarios, NestedPooledEngineOnSharedPoolDegradesToSerial) {
     const Graph graph = materialize(scenario);
     const ScheduleResult serial =
         run_scheduler_on_components(SchedulerKind::kDistMisGbg, graph, 7);
-    const ScheduleResult pooled =
-        run_scheduler_parallel(SchedulerKind::kDistMisGbg, graph, 7, pool);
+    const ScheduleResult pooled = run_scheduler(
+        SchedulerKind::kDistMisGbg, graph, {.seed = 7, .pool = &pool});
     ++outcome.checks;
     if (serial.coloring.raw() != pooled.coloring.raw() ||
         serial.messages != pooled.messages)

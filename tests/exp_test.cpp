@@ -49,7 +49,7 @@ TEST(ComponentScheduling, DfsHandlesDisconnectedGraphs) {
 
 TEST(ComponentScheduling, ConnectedGraphPassesThrough) {
   const Graph path = generate_path(5);
-  const auto direct = run_scheduler(SchedulerKind::kDfs, path, 5);
+  const auto direct = run_scheduler(SchedulerKind::kDfs, path, {.seed = 5});
   const auto component = run_scheduler_on_components(SchedulerKind::kDfs,
                                                      path, 5);
   EXPECT_EQ(direct.num_slots, component.num_slots);
@@ -57,7 +57,7 @@ TEST(ComponentScheduling, ConnectedGraphPassesThrough) {
 
 TEST(Runner, UdgPointAggregatesAllAlgorithms) {
   ThreadPool pool(2);
-  RunConfig config;
+  SweepConfig config;
   config.kinds = {SchedulerKind::kGreedy, SchedulerKind::kDmgc};
   config.instances = 4;
   config.seed = 9;
@@ -75,7 +75,7 @@ TEST(Runner, UdgPointAggregatesAllAlgorithms) {
 }
 
 TEST(Runner, DeterministicAcrossThreadCounts) {
-  RunConfig config;
+  SweepConfig config;
   config.kinds = {SchedulerKind::kGreedy};
   config.instances = 6;
   config.seed = 11;
@@ -90,7 +90,7 @@ TEST(Runner, DeterministicAcrossThreadCounts) {
 
 TEST(Report, SlotsTableShape) {
   ThreadPool pool(2);
-  RunConfig config;
+  SweepConfig config;
   config.kinds = {SchedulerKind::kGreedy};
   config.instances = 2;
   std::vector<PointResult> points{
@@ -105,7 +105,7 @@ TEST(Report, SlotsTableShape) {
 
 TEST(Report, RoundsTableShape) {
   ThreadPool pool(2);
-  RunConfig config;
+  SweepConfig config;
   config.kinds = {SchedulerKind::kDistMisGeneral};
   config.instances = 2;
   std::vector<PointResult> points{

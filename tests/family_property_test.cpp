@@ -68,12 +68,12 @@ TEST_P(FamilyTest, AllDistributedSchedulersFeasible) {
   for (SchedulerKind kind :
        {SchedulerKind::kDistMisGbg, SchedulerKind::kDistMisGeneral,
         SchedulerKind::kDmgc, SchedulerKind::kRandomized}) {
-    const auto result = run_scheduler(kind, graph, 23);
+    const auto result = run_scheduler(kind, graph, {.seed = 23});
     EXPECT_TRUE(is_feasible_schedule(ArcView(graph), result.coloring))
         << GetParam().name << " / " << scheduler_name(kind);
   }
   if (is_connected(graph) && graph.num_nodes() > 0) {
-    const auto dfs = run_scheduler(SchedulerKind::kDfs, graph, 23);
+    const auto dfs = run_scheduler(SchedulerKind::kDfs, graph, {.seed = 23});
     EXPECT_TRUE(is_feasible_schedule(ArcView(graph), dfs.coloring));
   }
 }

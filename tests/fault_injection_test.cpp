@@ -123,10 +123,10 @@ TEST_P(FaultSweep, HardenedRunsPassFaultOracles) {
       // deterministically, and whatever it did color obeys the scoped
       // feasibility contract.
       if (kind == SchedulerKind::kDfs && spec.crash_fraction > 0.0) {
-        const ScheduleResult first = run_scheduler_faulted(
-            kind, graph, scenario.seed, spec, /*reliable=*/true);
-        const ScheduleResult second = run_scheduler_faulted(
-            kind, graph, scenario.seed, spec, /*reliable=*/true);
+        const RunConfig config{
+            .seed = scenario.seed, .faults = &spec, .reliable = true};
+        const ScheduleResult first = run_scheduler(kind, graph, config);
+        const ScheduleResult second = run_scheduler(kind, graph, config);
         if (first.completed != second.completed ||
             first.messages != second.messages)
           outcome.failures.push_back(
@@ -298,8 +298,8 @@ TEST(FaultInjectionTest, HardenedRepairSurvivesLossyRun) {
   for (const Scenario& scenario : scenarios) {
     const Graph graph = materialize(scenario);
     if (graph.num_edges() == 0) continue;
-    const ScheduleResult clean =
-        run_scheduler(SchedulerKind::kDistMisGbg, graph, scenario.seed);
+    const ScheduleResult clean = run_scheduler(
+        SchedulerKind::kDistMisGbg, graph, {.seed = scenario.seed});
     const ArcView view(graph);
     ArcColoring stale = clean.coloring;
     for (const NeighborEntry& entry : graph.neighbors(0))
@@ -322,7 +322,7 @@ bool lossy_repair_fails(const Graph& graph, const FaultSpec& spec) {
   if (graph.num_nodes() == 0 || graph.num_edges() == 0 || !spec.any())
     return false;
   const ScheduleResult clean =
-      run_scheduler(SchedulerKind::kDistMisGbg, graph, 7);
+      run_scheduler(SchedulerKind::kDistMisGbg, graph, {.seed = 7});
   const ArcView view(graph);
   ArcColoring stale = clean.coloring;
   for (const NeighborEntry& entry : graph.neighbors(0))

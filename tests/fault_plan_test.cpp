@@ -351,9 +351,9 @@ TEST(FaultPlanTest, ZeroFaultPathIsByteIdentical) {
   for (const SchedulerKind kind :
        {SchedulerKind::kDistMisGbg, SchedulerKind::kDistMisGeneral,
         SchedulerKind::kRandomized}) {
-    const ScheduleResult plain = run_scheduler(kind, sync_graph, 3);
-    const ScheduleResult faulted = run_scheduler_faulted(
-        kind, sync_graph, 3, none, /*reliable=*/false);
+    const ScheduleResult plain = run_scheduler(kind, sync_graph, {.seed = 3});
+    const ScheduleResult faulted = run_scheduler(
+        kind, sync_graph, {.seed = 3, .faults = &none});
     ASSERT_EQ(plain.coloring.num_arcs(), faulted.coloring.num_arcs());
     for (ArcId a = 0; a < plain.coloring.num_arcs(); ++a)
       ASSERT_EQ(plain.coloring.color(a), faulted.coloring.color(a));
@@ -363,9 +363,9 @@ TEST(FaultPlanTest, ZeroFaultPathIsByteIdentical) {
   }
 
   const ScheduleResult plain =
-      run_scheduler(SchedulerKind::kDfs, async_graph, 3);
-  const ScheduleResult faulted = run_scheduler_faulted(
-      SchedulerKind::kDfs, async_graph, 3, none, /*reliable=*/false);
+      run_scheduler(SchedulerKind::kDfs, async_graph, {.seed = 3});
+  const ScheduleResult faulted = run_scheduler(
+      SchedulerKind::kDfs, async_graph, {.seed = 3, .faults = &none});
   for (ArcId a = 0; a < plain.coloring.num_arcs(); ++a)
     ASSERT_EQ(plain.coloring.color(a), faulted.coloring.color(a));
   EXPECT_EQ(plain.messages, faulted.messages);

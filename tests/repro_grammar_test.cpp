@@ -5,11 +5,13 @@
 // invert format exactly, and malformed strings must fail loudly instead of
 // silently replaying a different scenario.
 //
-// The replay tool's engine-path flag (--shards=, examples/replay) rides the
-// same contract: the flag it echoes into repro lines must parse back to the
-// same shard count through the CLI layer the tool uses.
+// The replay tool's command line (examples/replay, parse_replay_args) rides
+// the same contract one level up: every repro line the oracles print must
+// parse, and a flag replay does not read — a removed one, or a typo — must
+// be rejected instead of silently replaying a different run.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,9 @@
 #include "soak/event.h"
 #include "support/check.h"
 #include "support/cli.h"
+#include "verify/fault_oracles.h"
+#include "verify/scenario.h"
+#include "verify/soak_oracles.h"
 
 namespace fdlsp {
 namespace {
@@ -170,28 +175,89 @@ TEST(SoakSpecGrammar, MalformedEntriesAreRejected) {
   EXPECT_THROW(parse_soak_spec("skip=1.x.3"), contract_error);  // bad index
 }
 
-/// Parses an argv-style flag list through the CLI layer examples/replay
-/// uses and returns the shard count it would replay with.
-std::size_t parse_shards_flag(const std::vector<std::string>& flags) {
+/// Parses an argv-style flag list the way examples/replay does.
+CliArgs parse_replay(const std::vector<std::string>& flags) {
   std::vector<const char*> argv = {"replay"};
   for (const std::string& flag : flags) argv.push_back(flag.c_str());
-  const CliArgs args(static_cast<int>(argv.size()), argv.data());
-  return static_cast<std::size_t>(args.get_int("shards", 0));
+  return parse_replay_args(static_cast<int>(argv.size()), argv.data());
 }
 
-TEST(ReplayShardsFlag, EchoedFlagRoundTripsThroughCli) {
-  // replay echoes "--shards=N" into the repro lines it prints; pasting that
-  // line back must select the same engine shard count.
-  for (const std::size_t shards : {1u, 2u, 4u, 8u, 17u}) {
-    const std::string flag = "--shards=" + std::to_string(shards);
-    EXPECT_EQ(parse_shards_flag({flag}), shards) << flag;
+/// Splits a printed repro line into its flags (repro lines never quote).
+std::vector<std::string> split_flags(const std::string& line) {
+  std::istringstream in(line);
+  std::vector<std::string> flags;
+  for (std::string flag; in >> flag;) flags.push_back(flag);
+  return flags;
+}
+
+TEST(ReplayFlags, UnreadFlagsAreRejectedByName) {
+  const std::vector<std::string> scenario = {
+      "--family=grid", "--n=12", "--density=0.50", "--seed=5",
+      "--scheduler=distMIS", "--faults=drop=0.05,bp=0.2"};
+  const std::vector<std::string> soak = {"--soak=seed=7,n=200,events=5000",
+                                         "--faults=drop=0.1"};
+  // Flags replay does not read, such as --shards= or --tuning=, and typos
+  // of real flags must fail instead of replaying a different run.
+  for (const std::string bad :
+       {"--shards=4", "--tuning=fixed", "--fualts=drop=0.1"}) {
+    const std::string name = bad.substr(0, bad.find('='));
+    for (std::vector<std::string> flags : {scenario, soak}) {
+      flags.push_back(bad);
+      try {
+        parse_replay(flags);
+        ADD_FAILURE() << bad << " was accepted";
+      } catch (const contract_error& error) {
+        EXPECT_NE(std::string(error.what()).find("unknown flag " + name),
+                  std::string::npos)
+            << error.what();
+      }
+    }
   }
-  // Absent flag = serial path, matching replay's default, and the flag
-  // composes with the spec grammars on a full repro line.
-  EXPECT_EQ(parse_shards_flag({}), 0u);
-  EXPECT_EQ(parse_shards_flag({"--soak=seed=7,n=200,events=5000",
-                               "--faults=drop=0.1", "--shards=4"}),
-            4u);
+  // Each mode reads only its own flags.
+  EXPECT_THROW(parse_replay({"--soak=seed=7", "--family=gnm"}),
+               contract_error);
+  EXPECT_THROW(parse_replay({"--family=gnm", "--soak-band=1.5"}),
+               contract_error);
+}
+
+TEST(ReplayFlags, EveryPrintedReproLineParses) {
+  Scenario scenario;
+  scenario.family = GraphFamily::kGrid;
+  scenario.n = 12;
+  scenario.seed = 5;
+  FaultSpec faults;
+  faults.seed = 3;
+  faults.drop_rate = 0.05;
+  faults.burst_rate = 0.2;
+  faults.region_count = 1;
+  faults.prr_levels = {0.9, 0.5};
+  SoakSpec soak;
+  soak.seed = 7;
+  soak.n = 200;
+  soak.events = 5000;
+  soak.skip = {3, 14};
+  SoakOracleOptions band;
+  band.drift_band = 1.5;
+
+  const std::string fault_line =
+      fault_repro_command(scenario, scheduler_name(SchedulerKind::kDfs),
+                          faults);
+  const std::string soak_line = soak_repro_command(soak, faults, false, &band);
+  for (const std::string& line :
+       {repro_command(scenario, SchedulerKind::kDistMisGbg), fault_line,
+        fault_line + " --reliable=0", soak_repro_command(soak),
+        soak_repro_command(soak, &band), soak_line}) {
+    EXPECT_NO_THROW(parse_replay(split_flags(line))) << line;
+  }
+  // The parsed values are the printed specs, not merely accepted strings.
+  const CliArgs fault_args = parse_replay(split_flags(fault_line));
+  EXPECT_EQ(fault_args.get("scheduler", ""), "DFS");
+  EXPECT_EQ(parse_fault_spec(fault_args.get("faults", "")), faults);
+  const CliArgs soak_args = parse_replay(split_flags(soak_line));
+  EXPECT_EQ(parse_soak_spec(soak_args.get("soak", "")), soak);
+  EXPECT_EQ(parse_fault_spec(soak_args.get("faults", "")), faults);
+  EXPECT_EQ(soak_args.get_int("reliable", 1), 0);
+  EXPECT_EQ(soak_args.get_double("soak-band", 0.0), 1.5);
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ TEST_P(AllSchedulersTest, FeasibleAndBoundedOnConnectedGnm) {
   Rng rng(seed);
   Graph graph = generate_gnm(18, 36, rng);
   while (!is_connected(graph)) graph = generate_gnm(18, 36, rng);
-  const auto result = run_scheduler(kind, graph, seed);
+  const auto result = run_scheduler(kind, graph, {.seed = seed});
   const ArcView view(graph);
   EXPECT_TRUE(is_feasible_schedule(view, result.coloring))
       << scheduler_name(kind);
@@ -43,7 +43,7 @@ TEST_P(AllSchedulersTest, FeasibleOnUdg) {
   auto geo = generate_udg(50, 4.0, 0.6, rng);
   auto nodes = largest_component(geo.graph);
   const Graph graph = induced_subgraph(geo.graph, nodes).graph;
-  const auto result = run_scheduler(kind, graph, seed);
+  const auto result = run_scheduler(kind, graph, {.seed = seed});
   EXPECT_TRUE(is_feasible_schedule(ArcView(graph), result.coloring))
       << scheduler_name(kind);
 }
@@ -75,7 +75,7 @@ TEST(ScheduleComparison, NoAlgorithmBeatsTheOptimum) {
     for (SchedulerKind kind :
          {SchedulerKind::kDistMisGbg, SchedulerKind::kDistMisGeneral,
           SchedulerKind::kDfs, SchedulerKind::kDmgc, SchedulerKind::kGreedy}) {
-      const auto result = run_scheduler(kind, graph, 7);
+      const auto result = run_scheduler(kind, graph, {.seed = 7});
       EXPECT_GE(result.num_slots, optimal.num_colors)
           << scheduler_name(kind) << " trial " << trial;
     }
@@ -93,11 +93,12 @@ TEST(ScheduleComparison, ProposedAlgorithmsBeatDmgcOnAverageGeneralGraphs) {
     if (!is_connected(graph)) continue;
     ++trials;
     dfs_total += static_cast<double>(
-        run_scheduler(SchedulerKind::kDfs, graph, 11).num_slots);
+        run_scheduler(SchedulerKind::kDfs, graph, {.seed = 11}).num_slots);
     dmgc_total += static_cast<double>(
-        run_scheduler(SchedulerKind::kDmgc, graph, 11).num_slots);
+        run_scheduler(SchedulerKind::kDmgc, graph, {.seed = 11}).num_slots);
     mis_total += static_cast<double>(
-        run_scheduler(SchedulerKind::kDistMisGeneral, graph, 11).num_slots);
+        run_scheduler(SchedulerKind::kDistMisGeneral, graph, {.seed = 11})
+            .num_slots);
   }
   EXPECT_LT(dfs_total, dmgc_total);
   EXPECT_LT(mis_total, dmgc_total * 1.1);  // DistMIS is close or better

@@ -237,7 +237,8 @@ TEST(Convergecast, SchedulerOutputsDriveTraffic) {
   Rng rng(617);
   Graph graph = generate_gnm(25, 60, rng);
   while (!is_connected(graph)) graph = generate_gnm(25, 60, rng);
-  const auto result = run_scheduler(SchedulerKind::kDistMisGbg, graph, 3);
+  const auto result =
+      run_scheduler(SchedulerKind::kDistMisGbg, graph, {.seed = 3});
   const ArcView view(graph);
   const TdmaSchedule schedule(view, result.coloring);
   EXPECT_TRUE(replay_frame(schedule).collision_free());

@@ -59,6 +59,12 @@ run_faults() {
   cmake --build build -j
   ctest --test-dir build -L faulttest --output-on-failure -j "$(nproc)"
   ./build/examples/replay "${burst_smoke[@]}"
+  # Negative smoke: replay rejects flags it does not read, so a stale
+  # --tuning=fixed must fail loudly instead of replaying the adaptive run.
+  if ./build/examples/replay "${burst_smoke[@]}" --tuning=fixed; then
+    echo "replay accepted the unknown flag --tuning"
+    return 1
+  fi
   cmake --preset asan-ubsan
   cmake --build --preset asan-ubsan -j
   ctest --test-dir build-asan-ubsan -L faulttest --output-on-failure \
