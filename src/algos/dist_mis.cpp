@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -11,13 +12,14 @@
 #include "graph/arcs.h"
 #include "sim/async_engine.h"
 #include "sim/reliable.h"
-#include "sim/shard.h"
 #include "sim/sync_engine.h"
 #include "sim/synchronizer.h"
 #include "support/check.h"
 #include "support/epoch_marks.h"
 #include "support/flat_hash.h"
+#include "support/parallel_for.h"
 #include "support/rng.h"
+#include "support/thread_pool.h"
 
 namespace fdlsp {
 
@@ -37,14 +39,16 @@ enum class LubyState : std::uint8_t { kUndecided, kInSet, kDominated };
 /// in its own heap object — pointer-chasing per callback, and per-node hash
 /// tables scattered across the heap. Here the hot per-node scalars live in
 /// parallel arrays indexed by node id, so a shard's round walks dense
-/// memory, and the heavyweight tables (learned colors, greedy scratch,
-/// relay buffers) are kept *per shard*, indexed by ctx.shard(): one worker
-/// drives one shard, so shard scratch needs no synchronization, and the
-/// learned-color table for a whole shard is one flat probe array instead of
-/// thousands of small ones.
+/// memory. What a node knows about colors lives in dense per-node slots
+/// indexed by its static distance-2 ball (see build_ball_rows); only
+/// same-callback scratch (greedy marks, the winner's row index, relay
+/// buffers) is kept *per shard*, indexed by ctx.shard(): one worker drives
+/// one shard, so shard scratch needs no synchronization.
 class DistMisSet final : public SyncProgramSet {
  public:
-  DistMisSet(const Graph& graph, DistMisVariant variant, std::uint64_t seed)
+  /// `pool` (may be null) only parallelizes the one-time ball-row build.
+  DistMisSet(const Graph& graph, DistMisVariant variant, std::uint64_t seed,
+             ThreadPool* pool)
       : view_(graph),
         variant_(variant),
         flood_radius_(variant == DistMisVariant::kGbg ? 3 : 2),
@@ -63,6 +67,7 @@ class DistMisSet final : public SyncProgramSet {
     luby_value_.assign(n, 0);
     own_block_.assign(n, 0);
     comp_value_.assign(n, 0);
+    win_seq_.assign(n, 0);
     rivals_.resize(n);
     seen_.resize(n);
     // Arcs each node colors on a win, as a CSR (kGbg: all incident arcs,
@@ -86,46 +91,18 @@ class DistMisSet final : public SyncProgramSet {
           arcs_[pos++] = ArcView::reverse(view_.arc_from(entry.edge, v));
       }
     }
+    own_colors_.assign(arcs_.size(), kNoColor);
+    build_ball_rows(pool);
   }
 
-  /// Sizes per-shard scratch. A set prepared once must not be re-sharded:
-  /// learned colors live in per-shard tables, and a new partition would
-  /// orphan them — the engine calls this with the same count it runs with,
-  /// and every run of one set uses one engine configuration.
+  /// Sizes per-shard scratch. Everything a node knows lives in its own
+  /// slots, so a set may be re-prepared for another shard count at will.
   void prepare_shards(std::size_t shards) override {
     FDLSP_REQUIRE(shards > 0, "shard count must be positive");
-    if (shards == prepared_) return;
-    FDLSP_REQUIRE(prepared_ == 0,
-                  "DistMIS state cannot be re-sharded once prepared");
-    prepared_ = shards;
     shards_.resize(shards);
-    const std::size_t n = size();
-    const ShardPlan plan{n, shards};
-    const std::size_t m = view_.graph().num_edges();
-    const std::size_t avg_ceil = n > 0 ? (2 * m + n - 1) / n : 0;
-    for (std::size_t s = 0; s < shards; ++s) {
-      ShardScratch& scratch = shards_[s];
-      const std::size_t lo = plan.lo(s);
-      const std::size_t hi = plan.hi(s);
-      // Win floods teach a node the colors of arcs colored by winners
-      // within the flood radius. Every node eventually wins and every arc
-      // is colored exactly once, so node v ends up knowing roughly
-      // |ball_D(v)| * (2m/n) arcs. The per-node envelope below is the
-      // geometric-density form of that (ball_3 of a UDG holds ~9*(deg+1)
-      // nodes), capped by the O(Δ²) ball bound for dense graphs; an
-      // under-estimate only costs a mid-run table growth, never
-      // correctness. Sizing up front keeps rehash bursts out of the
-      // steady-state rounds (the zero-alloc tail of engine_alloc_test).
-      std::size_t expected = 0;
-      for (std::size_t v = lo; v < hi; ++v) {
-        const std::size_t degree =
-            view_.graph().degree(static_cast<NodeId>(v));
-        expected += std::min(4 * max_degree_ * max_degree_,
-                             9 * (degree + 1) * (avg_ceil + 1));
-      }
-      scratch.known_colors.reserve(expected);
-      scratch.assignments.reserve(arc_offsets_[hi] - arc_offsets_[lo]);
+    for (ShardScratch& scratch : shards_) {
       scratch.round_values.reserve(max_degree_);
+      scratch.row_index.reserve(max_ball_row_);
       // The largest flood relayed or emitted is a win flood from a
       // degree-Δ origin: 3 header words + 2 per incident arc (≤ 2Δ arcs).
       scratch.relay_scratch.data.reserve(3 + 4 * max_degree_);
@@ -178,13 +155,27 @@ class DistMisSet final : public SyncProgramSet {
     ++rounds_in_phase_[v];
   }
 
-  /// Shard count prepare_shards() was called with (0 before any run).
-  std::size_t prepared_shards() const noexcept { return prepared_; }
-
-  /// Arc colors assigned by the nodes of shard s (collected by the driver).
-  const std::vector<std::pair<ArcId, Color>>& assignments(
-      std::size_t s) const {
-    return shards_[s].assignments;
+  /// The colors the winners assigned. An arc two winners colored — only
+  /// faults that void the algorithm's knowledge guarantees allow that — is
+  /// counted in `double_colored` and keeps the later win's color.
+  ArcColoring collect_coloring(std::size_t& double_colored) const {
+    ArcColoring coloring(num_arcs());
+    double_colored = 0;
+    for (NodeId v = 0; v < size(); ++v) {
+      for (std::size_t i = arc_offsets_[v]; i < arc_offsets_[v + 1]; ++i) {
+        if (own_colors_[i] == kNoColor) continue;
+        const ArcId a = arcs_[i];
+        if (coloring.is_colored(a)) {
+          ++double_colored;
+          // Only the arc's other endpoint, walked earlier, holds it too.
+          const NodeId other =
+              view_.tail(a) == v ? view_.head(a) : view_.tail(a);
+          if (win_seq_[v] < win_seq_[other]) continue;
+        }
+        coloring.set(a, own_colors_[i]);
+      }
+    }
+    return coloring;
   }
 
   std::size_t num_arcs() const noexcept { return view_.num_arcs(); }
@@ -194,21 +185,120 @@ class DistMisSet final : public SyncProgramSet {
   /// callbacks, so nothing here needs synchronization, and the serial
   /// engine reports shard 0 for everyone.
   struct ShardScratch {
-    // Colors learned from win floods, keyed (node << 32) | arc: the
-    // knowledge is still strictly per node — a node only "knows" colors
-    // from floods that reached *it* — but one flat table per shard replaces
-    // one per node.
-    FlatHashMap<std::uint64_t, Color> known_colors;
-    std::vector<std::pair<ArcId, Color>> assignments;  // by this shard's wins
     // Same-round scratch (cleared at every on_round entry).
     std::vector<std::pair<std::int64_t, std::int64_t>> round_values;
     EpochMarks used_colors;  // scratch of smallest_known_feasible
     Message relay_scratch;   // recycled flood-relay buffer (see forward)
     Message win_scratch;     // recycled win-flood buffer (see win)
+    // Ball edge -> offset in the winner's row, rebuilt by every win(): the
+    // greedy step looks up ~100 conflicting arcs per own arc, and a probe
+    // into this small table beats a binary search of the row each time.
+    FlatHashMap<EdgeId, std::uint32_t> row_index;
+    // Wins this shard has run so far. On the serial path — the only one
+    // where two winners can color one arc — this orders wins in time.
+    std::uint32_t wins = 0;
   };
 
-  static std::uint64_t color_key(NodeId v, ArcId a) noexcept {
-    return (static_cast<std::uint64_t>(v) << 32) | a;
+  /// Scratch of one build_ball_rows worker: the distance-2 ball of the
+  /// current node and its membership marks.
+  struct BallWalk {
+    EpochMarks marks;
+    std::vector<NodeId> ball;
+
+    /// Calls fn(e) once for every edge with an endpoint in N²[v].
+    template <typename Fn>
+    void for_each_edge(const Graph& graph, NodeId v, Fn&& fn) {
+      marks.begin();
+      ball.assign(1, v);
+      marks.mark(v);
+      for (std::size_t hop = 0, lo = 0; hop < 2; ++hop) {
+        const std::size_t hi = ball.size();
+        for (; lo < hi; ++lo)
+          for (const NeighborEntry& entry : graph.neighbors(ball[lo]))
+            if (marks.mark_if_new(entry.to)) ball.push_back(entry.to);
+      }
+      // An edge inside the ball is reported from its lower endpoint only.
+      for (const NodeId x : ball)
+        for (const NeighborEntry& entry : graph.neighbors(x))
+          if (!marks.marked(entry.to) || x < entry.to) fn(entry.edge);
+    }
+  };
+
+  /// Builds the static knowledge rows: for each node v, the sorted ids of
+  /// the edges with an endpoint in N²[v] (v's distance-2 ball), as a CSR
+  /// with two color slots per edge, one per direction.
+  ///
+  /// Why the ball covers everything v ever reads: v reads colors only in
+  /// win(), for its own arcs and, through smallest_known_feasible, for
+  /// every arc conflicting with one of them. An own arc is incident to v.
+  /// An arc b conflicting with an own arc a = (t -> h), v in {t, h}, is one
+  /// of (see for_each_conflicting_arc): an arc incident on t or h, whose
+  /// edge has an endpoint in N¹[v]; an out-arc of a neighbor of h, whose
+  /// tail is in N²[v]; or an in-arc of a neighbor of t, whose head is in
+  /// N²[v]. So every arc v queries lies on an edge with an endpoint in
+  /// N²[v], and a win-flood entry outside the ball is never read: process()
+  /// drops it instead of storing it. Topology within distance 2 is static
+  /// initial knowledge (algos/dist_mis.h), so the rows carry no dynamic
+  /// information — the colors in them arrive only through messages.
+  ///
+  /// Rows are independent, so the pooled build (count pass, prefix sum,
+  /// fill pass) is byte-identical to the serial one.
+  void build_ball_rows(ThreadPool* pool) {
+    const std::size_t n = size();
+    const Graph& graph = view_.graph();
+    // Runs row_fn(v, walk) for every node; one task per block of nodes,
+    // each with its own walk scratch.
+    const auto for_each_row = [&](auto&& row_fn) {
+      const std::size_t blocks =
+          pool != nullptr ? std::min<std::size_t>(n, 4 * pool->size()) : 1;
+      const auto run_block = [&](std::size_t b) {
+        BallWalk walk;
+        walk.marks.reserve(n);
+        for (std::size_t v = n * b / blocks; v < n * (b + 1) / blocks; ++v)
+          row_fn(static_cast<NodeId>(v), walk);
+      };
+      if (pool != nullptr)
+        parallel_for(*pool, blocks, run_block);
+      else
+        run_block(0);
+    };
+    ball_offsets_.assign(n + 1, 0);
+    for_each_row([&](NodeId v, BallWalk& walk) {
+      walk.for_each_edge(graph, v, [&](EdgeId) { ++ball_offsets_[v + 1]; });
+    });
+    for (std::size_t v = 0; v < n; ++v)
+      max_ball_row_ = std::max(max_ball_row_, ball_offsets_[v + 1]);
+    std::partial_sum(ball_offsets_.begin(), ball_offsets_.end(),
+                     ball_offsets_.begin());
+    ball_edges_.resize(ball_offsets_[n]);
+    for_each_row([&](NodeId v, BallWalk& walk) {
+      EdgeId* const row = ball_edges_.data() + ball_offsets_[v];
+      EdgeId* out = row;
+      walk.for_each_edge(graph, v, [&out](EdgeId e) { *out++ = e; });
+      std::sort(row, out);
+    });
+    ball_colors_.assign(2 * ball_edges_.size(), kNoColor);
+  }
+
+  /// Node v's knowledge slot for arc a (kNoColor = unknown), or null when
+  /// a's edge lies outside v's ball.
+  // fdlsp-lint: hot — per-message steady-state path, no allocator traffic
+  Color* known_slot(NodeId v, ArcId a) {
+    const EdgeId e = ArcView::edge_of(a);
+    const EdgeId* first = ball_edges_.data() + ball_offsets_[v];
+    const EdgeId* last = ball_edges_.data() + ball_offsets_[v + 1];
+    const EdgeId* it = std::lower_bound(first, last, e);
+    if (it == last || *it != e) return nullptr;
+    const auto pos = static_cast<std::size_t>(it - ball_edges_.data());
+    return &ball_colors_[2 * pos + (a & 1)];
+  }
+
+  /// Winner v's slot for arc a, through the row index win() built. Every
+  /// arc v may read lies in its ball.
+  Color& queried_slot(NodeId v, const ShardScratch& scratch, ArcId a) {
+    const std::uint32_t* offset = scratch.row_index.find(ArcView::edge_of(a));
+    FDLSP_REQUIRE(offset != nullptr, "DistMIS queried an arc outside the ball");
+    return ball_colors_[2 * (ball_offsets_[v] + *offset) + (a & 1)];
   }
 
   // fdlsp-lint: hot — per-message steady-state path, no allocator traffic
@@ -240,9 +330,9 @@ class DistMisSet final : public SyncProgramSet {
         const auto block = static_cast<std::uint64_t>(message.data[1]);
         if (!mark_seen(v, message.tag, origin, block)) break;
         for (std::size_t i = 3; i + 1 < message.data.size(); i += 2) {
-          scratch.known_colors[color_key(
-              v, static_cast<ArcId>(message.data[i]))] =
-              static_cast<Color>(message.data[i + 1]);
+          // Entries outside v's ball are never read (build_ball_rows).
+          Color* slot = known_slot(v, static_cast<ArcId>(message.data[i]));
+          if (slot != nullptr) *slot = static_cast<Color>(message.data[i + 1]);
         }
         forward(scratch, ctx, message);
         break;
@@ -338,20 +428,26 @@ class DistMisSet final : public SyncProgramSet {
     message.data.push_back(static_cast<std::int64_t>(v));
     message.data.push_back(static_cast<std::int64_t>(own_block_[v]));
     message.data.push_back(static_cast<std::int64_t>(flood_radius_));
+    const std::size_t row = ball_offsets_[v];
+    scratch.row_index.clear();
+    for (std::size_t p = row; p < ball_offsets_[v + 1]; ++p)
+      scratch.row_index.insert_or_assign(ball_edges_[p],
+                                         static_cast<std::uint32_t>(p - row));
     const std::size_t arcs_end = arc_offsets_[v + 1];
     for (std::size_t i = arc_offsets_[v]; i < arcs_end; ++i) {
       const ArcId a = arcs_[i];
-      if (scratch.known_colors.contains(color_key(v, a)))
-        continue;  // colored by a neighbor
+      Color& known = queried_slot(v, scratch, a);
+      if (known != kNoColor) continue;  // colored by a neighbor
       const Color c = smallest_known_feasible(v, scratch, a);
-      scratch.known_colors[color_key(v, a)] = c;
-      scratch.assignments.emplace_back(a, c);
+      known = c;
+      own_colors_[i] = c;
       message.data.push_back(static_cast<std::int64_t>(a));
       message.data.push_back(static_cast<std::int64_t>(c));
     }
     mark_seen(v, kTagCompWin, v, own_block_[v]);
     ctx.broadcast(message);
     retired_[v] = 1;
+    win_seq_[v] = scratch.wins++;
   }
 
   /// Smallest color not used by any known-colored conflicting arc. The
@@ -361,9 +457,9 @@ class DistMisSet final : public SyncProgramSet {
   Color smallest_known_feasible(NodeId v, ShardScratch& scratch, ArcId a) {
     scratch.used_colors.begin();
     for_each_conflicting_arc(view_, a, [&](ArcId b) {
-      const Color* color = scratch.known_colors.find(color_key(v, b));
-      if (color != nullptr)
-        scratch.used_colors.mark(static_cast<std::size_t>(*color));
+      const Color color = queried_slot(v, scratch, b);
+      if (color != kNoColor)
+        scratch.used_colors.mark(static_cast<std::size_t>(color));
     });
     return static_cast<Color>(scratch.used_colors.first_unmarked());
   }
@@ -382,7 +478,6 @@ class DistMisSet final : public SyncProgramSet {
   DistMisVariant variant_;
   std::size_t flood_radius_;
   std::size_t max_degree_;
-  std::size_t prepared_ = 0;  // shard count scratch is sized for
 
   // --- per-node state, parallel arrays indexed by node id ---
   std::vector<Rng> rng_;
@@ -393,13 +488,24 @@ class DistMisSet final : public SyncProgramSet {
   std::vector<std::int64_t> luby_value_;
   std::vector<std::uint64_t> own_block_;
   std::vector<std::int64_t> comp_value_;
+  std::vector<std::uint32_t> win_seq_;  // see ShardScratch::wins
   // Rival lists persist across the rounds of one compete block and dedup
   // sets across one phase, so both stay per node (cleared, never freed).
   std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>> rivals_;
   std::vector<FlatHashSet<std::uint64_t>> seen_;
-  // CSR of the arcs each node colors on a win (fixed at construction).
+  // CSR of the arcs each node colors on a win (fixed at construction), and
+  // the colors it gave them (kNoColor: not colored by this node).
   std::vector<std::size_t> arc_offsets_;
   std::vector<ArcId> arcs_;
+  std::vector<Color> own_colors_;
+  // Per-node knowledge rows (build_ball_rows): node v's sorted ball edges
+  // are ball_edges_[ball_offsets_[v], ball_offsets_[v + 1]), and the color
+  // v knows for the arc of direction d over ball_edges_[p] is
+  // ball_colors_[2 * p + d] (kNoColor: unknown).
+  std::vector<std::size_t> ball_offsets_;
+  std::vector<EdgeId> ball_edges_;
+  std::vector<Color> ball_colors_;
+  std::size_t max_ball_row_ = 0;  // sizes ShardScratch::row_index
 
   std::vector<ShardScratch> shards_;  // indexed by ctx.shard()
 };
@@ -408,7 +514,7 @@ class DistMisSet final : public SyncProgramSet {
 
 ScheduleResult run_dist_mis(const Graph& graph,
                             const DistMisOptions& options) {
-  DistMisSet set(graph, options.variant, options.seed);
+  DistMisSet set(graph, options.variant, options.seed, options.pool);
   const FaultSpec spec = options.faults != nullptr ? *options.faults
                                                   : FaultSpec{};
   std::size_t round_budget = options.max_rounds;
@@ -459,17 +565,12 @@ ScheduleResult run_dist_mis(const Graph& graph,
   ScheduleResult result;
   result.completed = metrics.completed;
   result.faults = metrics.faults;
-  result.coloring = ArcColoring(set.num_arcs());
-  for (std::size_t s = 0; s < set.prepared_shards(); ++s) {
-    for (const auto& [arc, color] : set.assignments(s)) {
-      if (!relaxed)
-        FDLSP_REQUIRE(!result.coloring.is_colored(arc),
-                      "arc colored by two nodes");
-      result.coloring.set(arc, color);
-    }
-  }
-  if (!relaxed)
+  std::size_t double_colored = 0;
+  result.coloring = set.collect_coloring(double_colored);
+  if (!relaxed) {
+    FDLSP_REQUIRE(double_colored == 0, "arc colored by two nodes");
     FDLSP_REQUIRE(result.coloring.complete(), "DistMIS left arcs uncolored");
+  }
   result.num_slots = result.coloring.num_colors_used();
   result.rounds = metrics.rounds;
   result.messages = metrics.messages;
@@ -492,7 +593,7 @@ ScheduleResult run_dist_mis(const Graph& graph,
 
 ScheduleResult run_dist_mis_async(const Graph& graph,
                                   const AsyncDistMisOptions& options) {
-  DistMisSet set(graph, options.variant, options.seed);
+  DistMisSet set(graph, options.variant, options.seed, nullptr);
   // External contexts always report shard 0 — the synchronizer's lockstep
   // serializes node callbacks.
   set.prepare_shards(1);
@@ -537,15 +638,12 @@ ScheduleResult run_dist_mis_async(const Graph& graph,
   ScheduleResult result;
   result.completed = async_metrics.completed && metrics.completed;
   result.faults = async_metrics.faults;
-  result.coloring = ArcColoring(set.num_arcs());
-  for (const auto& [arc, color] : set.assignments(0)) {
-    if (!relaxed)
-      FDLSP_REQUIRE(!result.coloring.is_colored(arc),
-                    "arc colored by two nodes");
-    result.coloring.set(arc, color);
-  }
-  if (!relaxed)
+  std::size_t double_colored = 0;
+  result.coloring = set.collect_coloring(double_colored);
+  if (!relaxed) {
+    FDLSP_REQUIRE(double_colored == 0, "arc colored by two nodes");
     FDLSP_REQUIRE(result.coloring.complete(), "DistMIS left arcs uncolored");
+  }
   result.num_slots = result.coloring.num_colors_used();
   result.rounds = metrics.rounds;
   result.messages = metrics.messages;

@@ -26,7 +26,13 @@
 // Knowledge model: topology within distance 2 is static initial knowledge
 // (the paper calls it the minimum required for any feasible FDLSP coloring);
 // all dynamic state — random draws, MIS status, colors — travels in messages
-// and is charged to the round/message counters.
+// and is charged to the round/message counters. The implementation uses the
+// static part to lay out what a node learns: each node owns one color slot
+// per arc over an edge with an endpoint in its distance-2 ball, which covers
+// every arc its greedy step can query. The slots start unknown and are
+// filled only from win floods that reach the node (and by its own win);
+// flood entries outside the ball are dropped because the node never reads
+// them.
 #pragma once
 
 #include <cstdint>

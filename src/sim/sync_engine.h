@@ -284,11 +284,11 @@ class SyncProgramSet {
 
   /// Called once at the start of every run() with the shard count the run
   /// will execute with (1 on the serial path), before any other callback.
-  /// Sets that keep per-shard scratch size it here. A set prepared for one
-  /// shard count must not silently be run at another — per-shard state
-  /// (e.g. learned colors) would be invisible to the new partition — so
-  /// implementations are expected to treat a changed count as a contract
-  /// error once real state exists.
+  /// Sets that keep per-shard scratch size it here. A set that keeps real
+  /// protocol state per shard must not silently be run at another count —
+  /// that state would be invisible to the new partition — so such a set
+  /// treats a changed count as a contract error once the state exists.
+  /// Sets whose per-shard data is pure scratch may be re-prepared.
   virtual void prepare_shards(std::size_t shards) { (void)shards; }
 
   /// Per-node callbacks; semantics exactly as in SyncProgram.

@@ -1,5 +1,6 @@
 #include "support/thread_pool.h"
 
+#include <chrono>
 #include <utility>
 
 namespace fdlsp {
@@ -8,6 +9,16 @@ namespace {
 // Which pool (if any) owns the current thread; lets parallel entry points
 // detect nesting on a shared pool and fall back to their serial path.
 thread_local const ThreadPool* current_worker_pool = nullptr;
+
+// How long an idle worker polls for the next task before it blocks on the
+// condition variable. A pooled SyncEngine round drains the pool twice,
+// with a few microseconds of serial work between drains, hundreds of times
+// per run. A worker that blocks at once needs a wake-up per drain, and on a
+// virtual machine waking a halted vCPU takes from tens of microseconds to
+// milliseconds depending on what else the host runs, so pooled run times
+// swung with host load. The poll yields on every step: it keeps the CPU
+// awake without holding it from any other runnable thread.
+constexpr std::chrono::microseconds kIdlePoll{1000};
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -24,6 +35,7 @@ ThreadPool::~ThreadPool() {
   {
     std::lock_guard lock(mutex_);
     stopping_ = true;
+    stop_requested_ = true;
   }
   work_available_.notify_all();
   for (auto& worker : workers_) worker.join();
@@ -45,6 +57,7 @@ void ThreadPool::push_task(std::function<void()>&& task) {
   }
   ring_[(ring_head_ + ring_count_) % ring_.size()] = std::move(task);
   ++ring_count_;
+  queued_ = ring_count_;
 }
 
 std::function<void()> ThreadPool::pop_task() {
@@ -52,6 +65,7 @@ std::function<void()> ThreadPool::pop_task() {
   std::function<void()> task = std::move(ring_[ring_head_]);
   ring_head_ = (ring_head_ + 1) % ring_.size();
   --ring_count_;
+  queued_ = ring_count_;
   return task;
 }
 
@@ -77,9 +91,17 @@ bool ThreadPool::on_worker_thread() const noexcept {
   return current_worker_pool == this;
 }
 
+void ThreadPool::poll_for_work() const {
+  const auto deadline = std::chrono::steady_clock::now() + kIdlePoll;
+  while (queued_ == 0 && !stop_requested_ &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+}
+
 void ThreadPool::worker_loop() {
   current_worker_pool = this;
   for (;;) {
+    poll_for_work();
     std::function<void()> task;
     {
       std::unique_lock lock(mutex_);

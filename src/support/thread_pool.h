@@ -3,6 +3,7 @@
 // a task are captured and rethrown to the first caller of wait_idle().
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
@@ -49,6 +50,7 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  void poll_for_work() const;
   void push_task(std::function<void()>&& task);
   std::function<void()> pop_task();
 
@@ -64,6 +66,10 @@ class ThreadPool {
   std::vector<std::function<void()>> ring_;
   std::size_t ring_head_ = 0;   // index of the oldest queued task
   std::size_t ring_count_ = 0;  // queued (not yet popped) tasks
+  // Lock-free copies of ring_count_ and stopping_ for an idle worker's
+  // poll (poll_for_work); the mutex-guarded fields stay authoritative.
+  std::atomic<std::size_t> queued_{0};
+  std::atomic<bool> stop_requested_{false};
   std::vector<std::thread> workers_;
   std::exception_ptr first_error_;
   std::size_t in_flight_ = 0;

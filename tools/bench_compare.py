@@ -10,6 +10,11 @@ normalizing time units) and fails — exit 1 — if the fresh run regressed by
 more than the tolerance band. Benchmarks present on only one side are
 reported but never fail the gate (suites are allowed to grow).
 
+Memory is gated too: wherever both reports carry a `peak_rss_mb` counter
+for the same benchmark, the fresh value may exceed the baseline by at most
+RSS_LIMIT (20%). Unlike timings, peak RSS barely jitters between runs, so
+the band is tighter.
+
 Malformed input (missing file, invalid JSON, entries without the
 name/real_time keys) exits 2 with a one-line diagnostic naming the file and
 the defect, so a truncated bench run reads as "bad input", not a Python
@@ -38,6 +43,9 @@ class BenchFileError(Exception):
 
 
 _UNIT_TO_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+# Largest allowed fresh / baseline ratio of a peak_rss_mb counter.
+RSS_LIMIT = 1.20
 
 
 def load_times(path):
@@ -77,6 +85,29 @@ def load_times(path):
         unit = _UNIT_TO_NS.get(entry.get("time_unit", "ns"), 1.0)
         times[entry["name"]] = real_time * unit
     return times
+
+
+def load_peak_rss(path):
+    """name -> peak_rss_mb for the entries that carry the counter.
+
+    Call after load_times has validated the file; a non-numeric counter
+    raises BenchFileError.
+    """
+    with open(path) as fh:
+        data = json.load(fh)
+    peaks = {}
+    for index, entry in enumerate(data["benchmarks"]):
+        if entry.get("run_type") == "aggregate" or "error_occurred" in entry:
+            continue
+        if "peak_rss_mb" not in entry:
+            continue
+        try:
+            peaks[entry["name"]] = float(entry["peak_rss_mb"])
+        except (TypeError, ValueError):
+            raise BenchFileError(
+                f"{path}: benchmarks[{index}] ({entry['name']}) has "
+                f"non-numeric peak_rss_mb {entry['peak_rss_mb']!r}")
+    return peaks
 
 
 def load_context(path):
@@ -143,6 +174,22 @@ def compare(base, fresh, tolerance):
     return regressions
 
 
+def compare_rss(base, fresh, limit=RSS_LIMIT):
+    """Prints the peak-RSS table for benchmarks both sides measured;
+    returns the (name, ratio) pairs whose fresh peak exceeds base * limit."""
+    regressions = []
+    for name in sorted(set(base) & set(fresh)):
+        old, new = base[name], fresh[name]
+        ratio = new / old if old > 0 else float("inf")
+        marker = " "
+        if ratio > limit:
+            marker = "!"
+            regressions.append((name, ratio))
+        print(f"  [{marker}] {name}: peak_rss_mb {old:10.1f} -> {new:10.1f} "
+              f"({ratio:6.2f}x)")
+    return regressions
+
+
 def self_test():
     """Exercises the load/compare paths against in-process fixtures.
 
@@ -197,6 +244,30 @@ def self_test():
     if compare({"BM_A": 100.0}, {"BM_B": 100.0}, 0.30):
         failures.append("disjoint benchmark sets treated as a regression")
 
+    # Peak-RSS gate.
+    with_rss = write(json.dumps({"benchmarks": [
+        {"name": "BM_A", "real_time": 1.0, "peak_rss_mb": 64.5},
+        {"name": "BM_B", "real_time": 1.0},
+    ]}))
+    if load_peak_rss(with_rss) != {"BM_A": 64.5}:
+        failures.append(f"peak_rss_mb parsed to {load_peak_rss(with_rss)!r}")
+    bad_rss = write(json.dumps({"benchmarks": [
+        {"name": "BM_A", "real_time": 1.0, "peak_rss_mb": "big"}]}))
+    try:
+        load_peak_rss(bad_rss)
+        failures.append("non-numeric peak_rss_mb accepted")
+    except BenchFileError as err:
+        if "non-numeric peak_rss_mb" not in str(err):
+            failures.append(f"peak_rss_mb diagnostic {str(err)!r}")
+    if compare_rss({"BM_A": 100.0}, {"BM_A": 125.0}) != [("BM_A", 1.25)]:
+        failures.append("20% RSS limit failed to flag a 1.25x peak")
+    if compare_rss({"BM_A": 100.0}, {"BM_A": 115.0}):
+        failures.append("20% RSS limit flagged a 1.15x peak")
+    if compare_rss({"BM_A": 100.0}, {"BM_B": 900.0}):
+        failures.append("RSS compared across different benchmarks")
+    os.unlink(with_rss)
+    os.unlink(bad_rss)
+
     # Machine-context annotation path.
     with_context = write(json.dumps({
         "context": {"num_cpus": 4, "load_avg": [0.25, 0.5, 0.75]},
@@ -250,6 +321,8 @@ def main():
     try:
         base = load_times(args.baseline)
         fresh = load_times(args.fresh)
+        base_rss = load_peak_rss(args.baseline)
+        fresh_rss = load_peak_rss(args.fresh)
     except BenchFileError as err:
         print(f"bench_compare: {err}", file=sys.stderr)
         return 2
@@ -265,11 +338,18 @@ def main():
     print()
 
     regressions = compare(base, fresh, args.tolerance)
-    if regressions:
-        print(f"\n{len(regressions)} regression(s) beyond "
-              f"{args.tolerance:.0%} tolerance:")
-        for name, ratio in regressions:
-            print(f"  {name}: {ratio:.2f}x slower")
+    rss_regressions = compare_rss(base_rss, fresh_rss)
+    if regressions or rss_regressions:
+        if regressions:
+            print(f"\n{len(regressions)} regression(s) beyond "
+                  f"{args.tolerance:.0%} tolerance:")
+            for name, ratio in regressions:
+                print(f"  {name}: {ratio:.2f}x slower")
+        if rss_regressions:
+            print(f"\n{len(rss_regressions)} peak-RSS regression(s) beyond "
+                  f"{RSS_LIMIT - 1:.0%}:")
+            for name, ratio in rss_regressions:
+                print(f"  {name}: {ratio:.2f}x peak_rss_mb")
         return 1
     print(f"\nOK: no regression beyond {args.tolerance:.0%} "
           f"({len(base)} baseline benchmarks checked)")

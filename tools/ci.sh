@@ -4,7 +4,8 @@
 #
 #   tools/ci.sh            # tier-1 (full suite, RelWithDebInfo)
 #   tools/ci.sh asan       # ASan+UBSan build, proptest-labeled suite
-#   tools/ci.sh tsan       # TSan build, proptest-labeled suite
+#                          # plus the alloc and repair suites
+#   tools/ci.sh tsan       # TSan build, the same selection
 #   tools/ci.sh faults     # fault-injection gate: faulttest-labeled suite,
 #                          # plain and under ASan+UBSan
 #   tools/ci.sh soak       # continuous-operation gate: soaktest-labeled
@@ -44,6 +45,12 @@ run_sanitizer() {  # $1 = preset name (asan-ubsan | tsan)
   # this verifies the GTEST_SKIP seam and keeps the fixture itself
   # sanitizer-clean.
   ctest --test-dir "build-${preset}" -R '^engine_alloc_test$' \
+    --output-on-failure
+  # The repair suites join nodes, which once made transfer_coloring query
+  # the old graph for nodes it does not have. Release builds read past
+  # Graph::offsets_ silently; only these Debug builds, where FDLSP_ASSERT
+  # is live, catch such a read.
+  ctest --test-dir "build-${preset}" -R '^(repair_test|dist_repair_test)$' \
     --output-on-failure
 }
 
