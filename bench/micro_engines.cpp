@@ -35,7 +35,7 @@ class GossipProgram final : public SyncProgram {
  public:
   explicit GossipProgram(std::size_t rounds, std::size_t words = 1)
       : rounds_(rounds), words_(words) {}
-  void on_round(SyncContext& ctx, std::span<const Message>) override {
+  void on_round(SyncContext& ctx, const SyncInbox&) override {
     ++executed_;
     Message message;
     message.tag = 1;
@@ -205,7 +205,7 @@ void BM_DistMisUdgSharded(benchmark::State& state) {
     state.counters["msgs"] = static_cast<double>(result.messages);
     state.counters["rounds"] = static_cast<double>(result.rounds);
     // The audit seam does not force the serial engine, so these counters
-    // really describe the sharded path: lane recycling must keep the
+    // really describe the sharded path: outbox recycling must keep the
     // steady state allocation-free per shard (tests/engine_alloc_test.cpp
     // gates this at n=1000; here the numbers ride along at scale).
     state.counters["allocs"] = static_cast<double>(audit.total_allocations());

@@ -141,7 +141,7 @@ class DistMisSet final : public SyncProgramSet {
 
   // fdlsp-lint: hot — per-round steady-state path, no allocator traffic
   void on_round(NodeId v, SyncContext& ctx,
-                std::span<const Message> inbox) override {
+                const SyncInbox& inbox) override {
     ShardScratch& scratch = shards_[ctx.shard()];
     scratch.round_values.clear();
     for (const Message& message : inbox) process(v, scratch, ctx, message);
@@ -376,8 +376,8 @@ class DistMisSet final : public SyncProgramSet {
       Message message;
       message.tag = kTagMisValue;
       message.data = {luby_value_[v]};
-      // Lvalue broadcast = the engine's copying path: payloads land in
-      // recycled inbox slots without evicting their spilled capacity.
+      // Lvalue broadcast = the engine's copying path: the payload lands in
+      // a recycled outbox slot without evicting its spilled capacity.
       ctx.broadcast(message);
     } else {
       const std::pair<std::int64_t, std::int64_t> mine{

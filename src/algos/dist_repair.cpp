@@ -55,7 +55,7 @@ class DistRepairProgram final : public SyncProgram {
       repaired_ = true;  // stale colors survived intact; nothing to do
   }
 
-  void on_round(SyncContext& ctx, std::span<const Message> inbox) override {
+  void on_round(SyncContext& ctx, const SyncInbox& inbox) override {
     for (const Message& message : inbox) process(ctx, message);
     if (in_exchange_phase_) {
       exchange_step(ctx);

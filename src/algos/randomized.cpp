@@ -105,7 +105,7 @@ class RandomizedSet final : public SyncProgramSet {
   void on_phase(NodeId, std::size_t) override {}
 
   void on_round(NodeId v, SyncContext& ctx,
-                std::span<const Message> inbox) override {
+                const SyncInbox& inbox) override {
     // Steps are aligned by the *global* round counter so relays and
     // late-finishing nodes never desynchronize.
     switch (ctx.round() % 3) {
@@ -175,7 +175,7 @@ class RandomizedSet final : public SyncProgramSet {
   /// Every Definition-2 conflict pair has some node for which one of these
   /// rules fires, so pairwise distance-1 observation is complete.
   void detect_and_veto(NodeId v, SyncContext& ctx,
-                       std::span<const Message> inbox) {
+                       const SyncInbox& inbox) {
     std::vector<SeenArc>& seen = shards_[ctx.shard()].seen;
     seen.clear();
     for (const OutArc& out : outs(v))
@@ -234,7 +234,7 @@ class RandomizedSet final : public SyncProgramSet {
   }
 
   /// Round 2: finalize arcs that drew no veto; vetoed arcs redraw next step.
-  void finalize(NodeId v, std::span<const Message> inbox) {
+  void finalize(NodeId v, const SyncInbox& inbox) {
     if (done_[v] != 0) return;
     for (const Message& message : inbox) {
       if (message.tag != kTagVeto) continue;

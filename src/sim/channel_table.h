@@ -29,65 +29,49 @@ class ChannelTable {
   /// endpoints are stored with u < v, so the direction bit of the arc id is
   /// just the id comparison — no Edge loads.
   void build(const Graph& graph) {
-    build_slice(graph, 0, static_cast<NodeId>(graph.num_nodes()));
-  }
-
-  /// (Re)builds the table for senders in [lo, hi) only — the sharded
-  /// engine's per-shard send-side slice. The slice holds just its own
-  /// nodes' adjacency rows, so S shard slices together cost the same 2m
-  /// entries one full table does, and each shard's sends touch only
-  /// shard-local memory. channel() must then be called with `from` in
-  /// [lo, hi).
-  void build_slice(const Graph& graph, NodeId lo, NodeId hi) {
-    FDLSP_ASSERT(lo <= hi && hi <= graph.num_nodes(), "bad slice range");
-    base_ = lo;
-    offsets_.assign(static_cast<std::size_t>(hi - lo) + 1, 0);
+    const std::size_t n = graph.num_nodes();
+    offsets_.assign(n + 1, 0);
     channels_.clear();
-    for (NodeId v = lo; v < hi; ++v) {
-      offsets_[v - lo] = channels_.size();
+    for (NodeId v = 0; v < n; ++v) {
+      offsets_[v] = channels_.size();
       for (const NeighborEntry& entry : graph.neighbors(v))
         channels_.push_back(
             static_cast<ArcId>((entry.edge << 1) | (v < entry.to ? 0u : 1u)));
     }
-    offsets_[hi - lo] = channels_.size();
+    offsets_[n] = channels_.size();
   }
 
   bool empty() const noexcept { return channels_.empty() && offsets_.empty(); }
 
   /// Channel (arc id) of the directed link from -> to, or kNoArc when `to`
   /// is not a direct neighbor of `from`. One binary search over the
-  /// sender's neighbor row; serves as the neighbor validation as well. For
-  /// a slice, `from` must lie inside the slice's node range.
+  /// sender's neighbor row; serves as the neighbor validation as well.
   ArcId channel(const Graph& graph, NodeId from, NodeId to) const {
-    FDLSP_ASSERT(from >= base_ &&
-                     static_cast<std::size_t>(from - base_) + 1 <
-                         offsets_.size(),
-                 "sender outside this table's slice");
+    FDLSP_ASSERT(static_cast<std::size_t>(from) + 1 < offsets_.size(),
+                 "sender outside the table");
     const std::span<const NeighborEntry> row = graph.neighbors(from);
     const auto it = std::lower_bound(
         row.begin(), row.end(), to,
         [](const NeighborEntry& entry, NodeId node) { return entry.to < node; });
     if (it == row.end() || it->to != to) return kNoArc;
     const auto position = static_cast<std::size_t>(it - row.begin());
-    return channels_[offsets_[from - base_] + position];
+    return channels_[offsets_[from] + position];
   }
 
   /// Channel of the `position`-th arc out of `from` (adjacency order) — the
   /// O(1) lookup for senders that already know the neighbor's index, e.g.
-  /// because they iterate the neighbor span. For a slice, `from` must lie
-  /// inside the slice's node range.
+  /// because they iterate the neighbor span.
   // fdlsp-lint: hot — per-send steady-state path, no allocator traffic
   ArcId channel_at(NodeId from, std::size_t position) const {
-    const std::size_t row = offsets_[from - base_];
-    FDLSP_ASSERT(row + position < offsets_[from - base_ + 1],
+    const std::size_t row = offsets_[from];
+    FDLSP_ASSERT(row + position < offsets_[from + 1],
                  "position outside the sender's adjacency row");
     return channels_[row + position];
   }
 
  private:
-  NodeId base_ = 0;                   // first sender covered (slice lo)
-  std::vector<std::size_t> offsets_;  // (hi - lo) + 1 entries
-  std::vector<ArcId> channels_;       // per-slice adjacency, CSR order
+  std::vector<std::size_t> offsets_;  // num_nodes + 1 entries
+  std::vector<ArcId> channels_;       // adjacency, CSR order
 };
 
 }  // namespace fdlsp

@@ -53,7 +53,7 @@ struct AsyncEventSlot {
 /// Recycling slot store. release() never destroys a slot: the Message and
 /// its spilled payload capacity stay alive for the next acquire(), so the
 /// steady state of a warmed run allocates nothing — the async analogue of
-/// the sync engine's inbox slabs.
+/// the sync engine's outbox slabs.
 class AsyncEventSlab {
  public:
   /// Index of a free slot (recycled when one exists). The returned slot's

@@ -348,7 +348,7 @@ void ReliableSyncProgram::sweep(SyncContext& ctx, std::size_t round) {
 }
 
 void ReliableSyncProgram::on_round(SyncContext& ctx,
-                                   std::span<const Message> inbox) {
+                                   const SyncInbox& inbox) {
   const std::size_t round = ctx.round();
   ack_due_.clear();
   for (const Message& message : inbox) {
@@ -399,7 +399,7 @@ void ReliableSyncProgram::on_round(SyncContext& ctx,
     capture_send(ctx, to, std::move(message));
   };
   SyncContext inner_ctx = ctx.reframed(next_inner_round_, &sink);
-  inner_->on_round(inner_ctx, assembled);
+  inner_->on_round(inner_ctx, SyncInbox(assembled));
 }
 
 bool ReliableSyncProgram::ready_for_phase_advance() const {

@@ -130,7 +130,7 @@ class ReliableSyncProgram final : public SyncProgram {
     return ever_suspected_;
   }
 
-  void on_round(SyncContext& ctx, std::span<const Message> inbox) override;
+  void on_round(SyncContext& ctx, const SyncInbox& inbox) override;
   bool ready_for_phase_advance() const override;
   void on_phase(std::size_t new_phase) override;
   bool finished() const override;

@@ -1,19 +1,14 @@
 // Contiguous node partition used by the sharded synchronous engine.
 //
 // The engine splits the node id space [0, n) into `count` contiguous
-// shards. Shard s owns [lo(s), hi(s)); the split mirrors the PR 5 parallel
-// round loop (s * n / count boundaries) so existing round sharding and the
-// new state sharding agree on ownership. Contiguity is what makes the
-// cross-shard lane merge canonical: concatenating the per-source-shard
-// lanes of one destination in ascending source-shard order reproduces the
-// serial (sender id, send order) enqueue order exactly — the byte-identical
-// determinism contract of tests/engine_parallel_test.cpp.
+// shards (s * n / count boundaries). Shard s owns [lo(s), hi(s)): it runs
+// those nodes' callbacks and stores their sends in its own outbox. Inboxes
+// pull senders by ascending id whatever shard holds them, which keeps every
+// partition byte-identical to the serial run — the determinism contract of
+// tests/engine_parallel_test.cpp.
 #pragma once
 
 #include <cstddef>
-
-#include "graph/types.h"
-#include "support/check.h"
 
 namespace fdlsp {
 
@@ -28,14 +23,6 @@ struct ShardPlan {
   /// One past the last node of shard s.
   std::size_t hi(std::size_t s) const noexcept {
     return (s + 1) * n / count;
-  }
-
-  /// Shard owning node v — the inverse of lo()/hi(): the smallest s with
-  /// hi(s) > v, i.e. ceil(((v+1) * count) / n) - 1. Both factors fit well
-  /// inside 64 bits for any graph the engine can hold (n, count <= 2^32).
-  std::size_t shard_of(NodeId v) const noexcept {
-    FDLSP_ASSERT(n > 0 && v < n, "node outside the plan");
-    return ((static_cast<std::size_t>(v) + 1) * count - 1) / n;
   }
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "sim/shard.h"
 #include "support/alloc_audit.h"
 #include "support/check.h"
 #include "support/thread_pool.h"
@@ -20,43 +21,55 @@ void SyncContext::send(NodeId to, Message message) {
     (*sink_)(to, std::move(message));
     return;
   }
-  if (lanes_ != nullptr) {
-    // Parallel round: validate against this shard's ChannelTable slice
-    // (shard-local memory, doubles as the neighbor proof) and buffer the
-    // send in the lane of the destination's shard for the post-barrier
-    // merge; shared engine state is untouched.
-    FDLSP_REQUIRE(channels_->channel(engine_->graph_, self_, to) != kNoArc,
-                  "nodes may only message direct neighbors");
-    lanes_[plan_.shard_of(to)].add(to, std::move(message));
+  // One binary search over the sender's sorted neighbor row both proves
+  // neighbor-ness and yields the position the fault path's channel needs.
+  const auto it = std::lower_bound(
+      neighbors_.begin(), neighbors_.end(), to,
+      [](const NeighborEntry& entry, NodeId node) { return entry.to < node; });
+  FDLSP_REQUIRE(it != neighbors_.end() && it->to == to,
+                "nodes may only message direct neighbors");
+  if (expand_) {
+    engine_->post(*outbox_, self_,
+                  static_cast<std::size_t>(it - neighbors_.begin()), message);
     return;
   }
-  engine_->deliver(self_, to, std::move(message));
+  if (trace_ != nullptr) trace_->on_send(self_, to);
+  engine_->note_unicast(to);
+  outbox_->add(to, std::move(message), 1);
 }
 
 // fdlsp-lint: hot — per-message steady-state path, no allocator traffic
-void SyncContext::send_trusted(NodeId to, Message message) {
-  message.from = self_;
-  if (capture_ != nullptr) {
-    (*capture_)(to, message);
+void SyncContext::broadcast(Message&& message) {
+  if (neighbors_.empty()) return;
+  if (direct()) {
+    if (trace_ != nullptr)
+      for (const NeighborEntry& to : neighbors_) trace_->on_send(self_, to.to);
+    message.from = self_;
+    outbox_->add(kBroadcast, std::move(message), neighbors_.size());
     return;
   }
-  if (sink_ != nullptr) {
-    (*sink_)(to, std::move(message));
-    return;
-  }
-  if (lanes_ != nullptr) {
-    lanes_[plan_.shard_of(to)].add(to, std::move(message));
-    return;
-  }
-  engine_->deliver_trusted(self_, to, std::move(message));
+  for (std::size_t i = 0; i < neighbors_.size(); ++i)
+    send_copy_at(i, message);
 }
 
 // fdlsp-lint: hot — per-message steady-state path, no allocator traffic
-void SyncContext::send_trusted_copy(NodeId to, const Message& message) {
+void SyncContext::broadcast(const Message& message) {
+  if (neighbors_.empty()) return;
+  if (direct()) {
+    if (trace_ != nullptr)
+      for (const NeighborEntry& to : neighbors_) trace_->on_send(self_, to.to);
+    outbox_->add_copy(kBroadcast, message, self_, neighbors_.size());
+    return;
+  }
+  for (std::size_t i = 0; i < neighbors_.size(); ++i)
+    send_copy_at(i, message);
+}
+
+void SyncContext::send_copy_at(std::size_t position, const Message& message) {
+  const NodeId to = neighbors_[position].to;
   if (capture_ != nullptr) {
-    // The capture sink borrows: no temporary, no ownership transfer — the
-    // zero-alloc twin of the owning-sink branch below. The sink knows the
-    // sending node; `from` stays whatever the caller's scratch holds.
+    // The capture sink borrows: no temporary, no ownership transfer. The
+    // sink knows the sending node; `from` stays whatever the caller holds.
     (*capture_)(to, message);
     return;
   }
@@ -68,27 +81,7 @@ void SyncContext::send_trusted_copy(NodeId to, const Message& message) {
     (*sink_)(to, std::move(copy));
     return;
   }
-  if (lanes_ != nullptr) {
-    lanes_[plan_.shard_of(to)].add_copy(to, message, self_);
-    return;
-  }
-  engine_->deliver_trusted_copy(self_, to, message);
-}
-
-// fdlsp-lint: hot — per-message steady-state path, no allocator traffic
-void SyncContext::broadcast(Message&& message) {
-  if (neighbors_.empty()) return;
-  for (std::size_t i = 0; i + 1 < neighbors_.size(); ++i)
-    send_trusted_copy(neighbors_[i].to, message);
-  // The last copy is the original: move instead of copy, so a broadcast
-  // to d neighbors performs d-1 payload copies, not d.
-  send_trusted(neighbors_.back().to, std::move(message));
-}
-
-// fdlsp-lint: hot — per-message steady-state path, no allocator traffic
-void SyncContext::broadcast(const Message& message) {
-  for (const NeighborEntry& neighbor : neighbors_)
-    send_trusted_copy(neighbor.to, message);
+  engine_->post(*outbox_, self_, position, message);
 }
 
 SyncEngine::SyncEngine(const Graph& graph,
@@ -98,26 +91,12 @@ SyncEngine::SyncEngine(const Graph& graph,
       set_(owned_.get()) {
   FDLSP_REQUIRE(set_->size() == graph_.num_nodes(),
                 "one program per node required");
-  const std::size_t n = graph_.num_nodes();
-  inbox_.resize(n);
-  next_inbox_.resize(n);
-  inbox_count_.assign(n, 0);
-  next_count_.assign(n, 0);
-  dirty_inbox_.resize(1);  // serial path uses bucket 0
-  dirty_next_.resize(1);
 }
 
 SyncEngine::SyncEngine(const Graph& graph, SyncProgramSet& set)
     : graph_(graph), set_(&set) {
   FDLSP_REQUIRE(set_->size() == graph_.num_nodes(),
                 "one program per node required");
-  const std::size_t n = graph_.num_nodes();
-  inbox_.resize(n);
-  next_inbox_.resize(n);
-  inbox_count_.assign(n, 0);
-  next_count_.assign(n, 0);
-  dirty_inbox_.resize(1);
-  dirty_next_.resize(1);
 }
 
 std::size_t SyncEngine::planned_shards() const noexcept {
@@ -131,113 +110,20 @@ std::size_t SyncEngine::planned_shards() const noexcept {
   return std::min(n, std::max<std::size_t>(1, requested));
 }
 
-// fdlsp-lint: hot — per-message steady-state path, no allocator traffic
-void SyncEngine::deliver(NodeId from, NodeId to, Message&& message) {
-  if (faults_ != nullptr) {
-    // One CSR row search resolves the directed channel and validates
-    // neighbor-ness at once — the old path did a has_edge binary search
-    // plus find_edge plus an Edge load for every message.
-    const ArcId channel = channels_.channel(graph_, from, to);
-    FDLSP_REQUIRE(channel != kNoArc,
-                  "nodes may only message direct neighbors");
-    deliver_faulted(channel, from, to, std::move(message));
-    return;
-  }
-  FDLSP_REQUIRE(graph_.has_edge(from, to),
-                "nodes may only message direct neighbors");
-  enqueue(from, to, std::move(message));
-}
-
-// fdlsp-lint: hot — per-message steady-state path, no allocator traffic
-void SyncEngine::deliver_trusted(NodeId from, NodeId to, Message&& message) {
-  if (faults_ != nullptr) {
-    // The channel lookup subsumes the neighbor-ness proof, so the fault
-    // path costs the same whether the sender was validated or trusted.
-    const ArcId channel = channels_.channel(graph_, from, to);
-    FDLSP_ASSERT(channel != kNoArc, "trusted send to a non-neighbor");
-    deliver_faulted(channel, from, to, std::move(message));
-    return;
-  }
-  enqueue(from, to, std::move(message));
-}
-
-// fdlsp-lint: hot — per-message steady-state path, no allocator traffic
-void SyncEngine::deliver_trusted_copy(NodeId from, NodeId to,
-                                      const Message& message) {
-  if (faults_ != nullptr) {
-    const ArcId channel = channels_.channel(graph_, from, to);
-    FDLSP_ASSERT(channel != kNoArc, "trusted send to a non-neighbor");
-    // The fault path mutates per-copy (corruption) and forces serial
-    // execution anyway; materialize the copy it expects.
-    Message copy = message;
-    copy.from = from;
-    deliver_faulted(channel, from, to, std::move(copy));
-    return;
-  }
-  enqueue_copy(from, to, message);
-}
-
-/// The next recycled slot of `to`'s next-round inbox; grows the slab only
-/// until it reaches the box's high-water mark. `words` is the payload size
-/// about to be copy-assigned in (0 for the swapping move path): when the
-/// next slot's capacity is too small, a dead slot past the live count with
-/// enough capacity is swapped into position first. Dead slots are
-/// unordered — only [0, count) is ever observed — so this recycles the
-/// box's total spilled capacity instead of requiring every slot *index* to
-/// independently grow to the largest payload that ever lands there.
-/// `dirty` is the dirty-list bucket recording first-touched boxes: the
-/// serial path passes bucket 0, the parallel lane merge for destination
-/// shard d passes bucket d (so concurrent merges never share a bucket).
-// fdlsp-lint: hot — per-message steady-state path, no allocator traffic
-Message& SyncEngine::next_slot(NodeId to, std::size_t words,
-                               std::vector<NodeId>& dirty) {
-  std::vector<Message>& box = next_inbox_[to];
-  std::size_t& count = next_count_[to];
-  // Invariant: a box with live messages is always listed in some dirty
-  // bucket, so the round swap rewinds only boxes that actually held
-  // messages.
-  if (count == 0) dirty.push_back(to);
-  if (count == box.size()) {
-    box.emplace_back();
-  } else if (words > box[count].data.capacity()) {
-    for (std::size_t j = count + 1; j < box.size(); ++j) {
-      if (box[j].data.capacity() >= words) {
-        box[count].data.swap(box[j].data);
-        break;
-      }
-    }
-  }
-  return box[count++];
-}
-
-// fdlsp-lint: hot — per-message steady-state path, no allocator traffic
-void SyncEngine::enqueue(NodeId from, NodeId to, Message&& message) {
-  // on_send fires once per copy actually enqueued (dropped messages emit no
-  // event, duplicates emit two), keeping the per-channel send/deliver
-  // pairing the happens-before checker relies on exact under faults.
-  if (trace_ != nullptr) trace_->on_send(from, to);
-  // Swap-based move-assignment: the slot's previous payload capacity
-  // migrates into the (expiring) source instead of being freed here.
-  next_slot(to, 0, dirty_next_[0]) = std::move(message);
-  ++pending_messages_;
-  ++total_messages_;
-}
-
-// fdlsp-lint: hot — per-message steady-state path, no allocator traffic
-void SyncEngine::enqueue_copy(NodeId from, NodeId to, const Message& message) {
-  if (trace_ != nullptr) trace_->on_send(from, to);
-  // Copy-assignment reuses the recycled slot's payload capacity — the
-  // zero-alloc landing pad for broadcast(const Message&).
-  Message& slot = next_slot(to, message.data.size(), dirty_next_[0]);
-  slot = message;
-  slot.from = from;
-  ++pending_messages_;
-  ++total_messages_;
-}
-
-// fdlsp-lint: hot — per-message steady-state path, no allocator traffic
-void SyncEngine::deliver_faulted(ArcId channel, NodeId from, NodeId to,
-                                 Message message) {
+/// The fault path's send: one entry for the receiver
+/// neighbors(from)[position], after the trace and the fault plan had their
+/// say. on_send fires once per entry actually stored (a dropped message
+/// emits no event, a duplicate two), keeping the per-channel send/deliver
+/// pairing the happens-before checker relies on exact under faults.
+void SyncEngine::post(SyncSendSlab& outbox, NodeId from, std::size_t position,
+                      const Message& message) {
+  const NodeId to = graph_.neighbors(from)[position].to;
+  const auto store = [&]() -> Message& {
+    if (trace_ != nullptr) trace_->on_send(from, to);
+    note_unicast(to);
+    return outbox.add_copy(to, message, from, 1);
+  };
+  const ArcId channel = channels_.channel_at(from, position);
   const double now = static_cast<double>(current_round_);
   // A crashed sender never runs, but sends from the crash round itself are
   // possible when the crash lands mid-round; treat both endpoints dead.
@@ -258,15 +144,14 @@ void SyncEngine::deliver_faulted(ArcId channel, NodeId from, NodeId to,
     case FaultAction::kDrop:
       return;
     case FaultAction::kDuplicate:
-      enqueue_copy(from, to, message);
-      enqueue(from, to, std::move(message));
+      store();
+      store();
       return;
     case FaultAction::kCorrupt:
-      faults_->corrupt_payload(channel, index, message);
-      enqueue(from, to, std::move(message));
+      faults_->corrupt_payload(channel, index, store());
       return;
     case FaultAction::kDeliver:
-      enqueue(from, to, std::move(message));
+      store();
       return;
   }
   FDLSP_REQUIRE(false, "unknown fault action");
@@ -288,82 +173,47 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
   // observes callback/send order and a fault plan mutates per-message
   // state, so either forces the serial path (they are observation and
   // adversary channels, not hot paths). planned_shards() folds the whole
-  // predicate: it returns 1 whenever a seam forces serial.
-  // (The on_worker_thread check keeps a pooled engine nested inside a
-  // pooled sweep on the same pool from waiting for its own task.)
-  const bool parallel =
-      pool_ != nullptr && trace_ == nullptr && faults_ == nullptr && n > 0 &&
-      !pool_->on_worker_thread();
-  const std::size_t shards = parallel ? planned_shards() : 1;
+  // predicate: it returns 1 whenever a seam forces serial, and one shard
+  // runs on the calling thread.
+  const std::size_t shards = planned_shards();
+  const ShardPlan plan{n, shards};
+  const bool expand = faults_ != nullptr;
   // Program sets size per-shard scratch here, before any callback runs.
   // The serial path prepares for exactly one shard (ctx.shard() == 0).
   set_->prepare_shards(shards);
+  // Outbox slabs are sized once and recycled forever; a later run with
+  // fewer shards leaves the extra slabs idle. No range may point into a
+  // previous run's sends.
+  if (outboxes_.size() < shards) {
+    outboxes_.resize(shards);
+    last_outboxes_.resize(shards);
+  }
+  ranges_.assign(n, SyncOutRange{});
+  last_ranges_.assign(n, SyncOutRange{});
+  mail_.assign(n, 0);
+  last_mail_.assign(n, 0);
 
   // A program's finished/ready state only changes inside its own callbacks
   // (cross-node mutation would be a protocol-isolation violation, flagged by
   // the happens-before checker), so both predicates are cached per node and
-  // refreshed right after each callback. The old loop rescanned every
-  // program up to three times per round; this one touches only the nodes
-  // that actually ran. A crashed node counts as terminated: its callbacks
-  // stop and it neither blocks the barrier nor run completion.
+  // refreshed right after each callback; the run never rescans every
+  // program. A crashed node counts as terminated: its callbacks stop and it
+  // neither blocks the barrier nor run completion. Flags are per node
+  // (distinct memory locations), counts accumulate per shard and are
+  // applied on the driving thread after the dispatch.
   std::vector<char> finished(n, 0);
   std::vector<char> ready(n, 0);  // finished, or voting for phase advance
   std::size_t finished_count = 0;
   std::size_t ready_count = 0;
+  std::vector<std::ptrdiff_t> shard_fin(shards, 0);
+  std::vector<std::ptrdiff_t> shard_rdy(shards, 0);
   const auto is_down = [&](NodeId v) {
     return faults_ != nullptr &&
            faults_->node_down(v, static_cast<double>(current_round_));
   };
-  const auto refresh = [&](NodeId v) {
+  const auto refresh = [&](NodeId v, std::ptrdiff_t& dfin,
+                           std::ptrdiff_t& drdy) {
     const bool fin = is_down(v) || set_->finished(v);
-    const bool rdy = fin || set_->ready_for_phase_advance(v);
-    if (fin != (finished[v] != 0)) {
-      finished[v] = fin ? 1 : 0;
-      if (fin) ++finished_count; else --finished_count;
-    }
-    if (rdy != (ready[v] != 0)) {
-      ready[v] = rdy ? 1 : 0;
-      if (rdy) ++ready_count; else --ready_count;
-    }
-  };
-  current_round_ = 0;
-  for (NodeId v = 0; v < n; ++v) refresh(v);
-
-  // --- sharded-run machinery (unused on the serial path) ---
-  // Shards are contiguous node ranges. Each shard's callbacks buffer their
-  // sends in a row of S lanes, one per destination shard; after the
-  // barrier, the merge for destination d drains column d in ascending
-  // source-shard order. Contiguity makes that order the serial (sender id,
-  // send order) enqueue order exactly, for any shard count — which is what
-  // makes the sharded engine byte-identical to the serial one.
-  std::vector<std::ptrdiff_t> shard_fin(shards, 0);
-  std::vector<std::ptrdiff_t> shard_rdy(shards, 0);
-  if (parallel) {
-    plan_ = ShardPlan{n, shards};
-    // Sized-once, recycled-forever, like the inbox slabs: a later run with
-    // fewer shards leaves the extra lanes and buckets empty (lanes are
-    // always reset after a merge, buckets cleared by the round swap).
-    if (lanes_.size() < shards * shards) lanes_.resize(shards * shards);
-    if (shard_enqueued_.size() < shards) shard_enqueued_.assign(shards, 0);
-    if (dirty_next_.size() < shards) {
-      dirty_next_.resize(shards);
-      dirty_inbox_.resize(shards);
-    }
-    if (sliced_shards_ != shards) {
-      shard_channels_.resize(shards);
-      for (std::size_t s = 0; s < shards; ++s)
-        shard_channels_[s].build_slice(graph_,
-                                       static_cast<NodeId>(plan_.lo(s)),
-                                       static_cast<NodeId>(plan_.hi(s)));
-      sliced_shards_ = shards;
-    }
-  }
-  // Refresh of one node from a worker: per-node flags are distinct memory
-  // locations, counters are accumulated per shard and merged after the
-  // barrier. No faults on this path, so is_down never applies.
-  const auto refresh_local = [&](NodeId v, std::ptrdiff_t& dfin,
-                                 std::ptrdiff_t& drdy) {
-    const bool fin = set_->finished(v);
     const bool rdy = fin || set_->ready_for_phase_advance(v);
     if (fin != (finished[v] != 0)) {
       finished[v] = fin ? 1 : 0;
@@ -374,66 +224,6 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
       drdy += rdy ? 1 : -1;
     }
   };
-  const auto round_shard = [&](std::size_t s, std::size_t round_no,
-                               std::size_t phase_no) {
-    SyncSendSlab* lanes = lanes_.data() + s * shards;
-    std::ptrdiff_t dfin = 0;
-    std::ptrdiff_t drdy = 0;
-    const std::size_t hi = plan_.hi(s);
-    for (std::size_t i = plan_.lo(s); i < hi; ++i) {
-      const NodeId v = static_cast<NodeId>(i);
-      if (finished[v] != 0 && inbox_count_[v] == 0) continue;
-      SyncContext ctx(this, v, graph_.neighbors(v), round_no, phase_no);
-      ctx.lanes_ = lanes;
-      ctx.plan_ = plan_;
-      ctx.shard_ = s;
-      ctx.channels_ = &shard_channels_[s];
-      set_->on_round(
-          v, ctx, std::span<const Message>(inbox_[v].data(), inbox_count_[v]));
-      refresh_local(v, dfin, drdy);
-    }
-    shard_fin[s] = dfin;
-    shard_rdy[s] = drdy;
-  };
-  const auto phase_shard = [&](std::size_t s, std::size_t new_phase) {
-    std::ptrdiff_t dfin = 0;
-    std::ptrdiff_t drdy = 0;
-    const std::size_t hi = plan_.hi(s);
-    for (std::size_t i = plan_.lo(s); i < hi; ++i) {
-      const NodeId v = static_cast<NodeId>(i);
-      set_->on_phase(v, new_phase);
-      refresh_local(v, dfin, drdy);
-    }
-    shard_fin[s] = dfin;
-    shard_rdy[s] = drdy;
-  };
-  const auto run_sharded = [&](auto&& body) {
-    for (std::size_t s = 0; s < shards; ++s)
-      pool_->submit([&body, s] { body(s); });
-    pool_->wait_idle();
-  };
-  // Merge for destination shard d: drain column d of the lane matrix in
-  // ascending source-shard order into the recycled next-round inboxes.
-  // Runs one worker per destination shard — worker d only touches shard
-  // d's boxes/counts, its own dirty bucket, and its own enqueued counter,
-  // so the merges are disjoint by construction. Swap-moving out of a lane
-  // slot circulates payload capacities between the lane and the inbox
-  // slab — nothing is freed, the steady state stays allocation-free.
-  const auto merge_column = [&](std::size_t d) {
-    std::vector<NodeId>& dirty = dirty_next_[d];
-    std::size_t count = 0;
-    for (std::size_t s = 0; s < shards; ++s) {
-      SyncSendSlab& lane = lanes_[s * shards + d];
-      for (SyncBufferedSend& send : lane.entries()) {
-        next_slot(send.to, 0, dirty) = std::move(send.message);
-        ++count;
-      }
-      lane.reset();  // rewind, not freed: capacity is reused
-    }
-    shard_enqueued_[d] = count;
-  };
-  // Applies the buffered finished/ready deltas and message counts on the
-  // driving thread, after a barrier.
   const auto apply_shard_deltas = [&] {
     for (std::size_t s = 0; s < shards; ++s) {
       finished_count = static_cast<std::size_t>(
@@ -444,7 +234,94 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
       shard_rdy[s] = 0;
     }
   };
+  current_round_ = 0;
+  for (NodeId v = 0; v < n; ++v) refresh(v, shard_fin[0], shard_rdy[0]);
+  apply_shard_deltas();
 
+  // Runs body(s) for every shard: on the calling thread for one shard,
+  // otherwise one pool task per shard.
+  const auto dispatch = [&](auto&& body) {
+    if (shards == 1) {
+      body(std::size_t{0});
+      return;
+    }
+    for (std::size_t s = 0; s < shards; ++s)
+      pool_->submit([&body, s] { body(s); });
+    pool_->wait_idle();
+  };
+  // current_node_ is only written with a trace attached, which forces the
+  // serial path, so workers never share it.
+  const auto phase_shard = [&](std::size_t s, std::size_t new_phase) {
+    std::ptrdiff_t dfin = 0;
+    std::ptrdiff_t drdy = 0;
+    const std::size_t hi = plan.hi(s);
+    for (std::size_t i = plan.lo(s); i < hi; ++i) {
+      const NodeId v = static_cast<NodeId>(i);
+      if (is_down(v)) continue;
+      if (trace_ != nullptr) {
+        trace_->on_local_step(v);
+        current_node_ = v;
+      }
+      set_->on_phase(v, new_phase);
+      if (trace_ != nullptr) current_node_ = kNoNode;
+      refresh(v, dfin, drdy);
+    }
+    shard_fin[s] = dfin;
+    shard_rdy[s] = drdy;
+  };
+  std::size_t pending_broadcasts = 0;  // broadcasts sent last round
+  // One round of shard s: every node's inbox pulls last round's outboxes,
+  // its sends land in shard s's outbox, and its range records where. A
+  // node pulls only when last round sent a broadcast or a unicast to it.
+  const auto round_shard = [&](std::size_t s, std::size_t round_no) {
+    SyncSendSlab& outbox = outboxes_[s];
+    outbox.reset();  // rewind, not freed: capacity is reused
+    std::ptrdiff_t dfin = 0;
+    std::ptrdiff_t drdy = 0;
+    const std::size_t hi = plan.hi(s);
+    for (std::size_t i = plan.lo(s); i < hi; ++i) {
+      const NodeId v = static_cast<NodeId>(i);
+      SyncOutRange& range = ranges_[v];
+      range = SyncOutRange{static_cast<std::uint32_t>(s),
+                           static_cast<std::uint32_t>(outbox.size()), 0, 0};
+      const bool mail = pending_broadcasts != 0 || last_mail_[v] != 0;
+      last_mail_[v] = 0;
+      const SyncInbox inbox(
+          v, mail ? graph_.neighbors(v) : std::span<const NeighborEntry>{},
+          last_ranges_.data(), last_outboxes_.data());
+      if (is_down(v)) {
+        // Mail addressed to a dead node dies with it.
+        faults_->stats().crash_drops += inbox.size();
+        continue;
+      }
+      if (finished[v] != 0 && inbox.empty()) continue;
+      if (trace_ != nullptr) {
+        for (const Message& message : inbox)
+          trace_->on_deliver(message.from, v);
+        trace_->on_local_step(v);
+        current_node_ = v;
+      }
+      SyncContext ctx(this, v, graph_.neighbors(v), round_no, phase);
+      ctx.outbox_ = &outbox;
+      ctx.trace_ = trace_;
+      ctx.expand_ = expand;
+      ctx.shard_ = s;
+      const std::size_t unicasts = outbox.unicasts();
+      set_->on_round(v, ctx, inbox);
+      if (trace_ != nullptr) current_node_ = kNoNode;
+      FDLSP_ASSERT(outbox.size() <= UINT32_MAX, "outbox range overflow");
+      range.len = static_cast<std::uint32_t>(outbox.size()) - range.begin;
+      range.unicasts =
+          static_cast<std::uint32_t>(outbox.unicasts() - unicasts);
+      if (range.unicasts != 0) outbox.index(range.begin, range.len);
+      refresh(v, dfin, drdy);
+    }
+    shard_fin[s] = dfin;
+    shard_rdy[s] = drdy;
+  };
+
+  std::size_t pending_messages = 0;  // deliveries sent last round
+  std::size_t total_messages = 0;
   while (metrics.rounds < max_rounds) {
     current_round_ = metrics.rounds;
     if (faults_ != nullptr) {
@@ -452,14 +329,16 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
       // the cached predicates must be recomputed when nodes cross their
       // crash time (fault path only; the zero-fault loop never scans).
       for (NodeId v = 0; v < n; ++v)
-        if (finished[v] == 0 && is_down(v)) refresh(v);
+        if (finished[v] == 0 && is_down(v))
+          refresh(v, shard_fin[0], shard_rdy[0]);
+      apply_shard_deltas();
     }
     if (finished_count == n) {
       metrics.completed = true;
       break;
     }
 
-    // One audited "round" spans the phase barrier, the slab swap, and the
+    // One audited "round" spans the phase barrier, the outbox swap, and the
     // node callbacks — everything the dispatch of round r executes. A
     // completion break inside the barrier leaves the bracket unclosed,
     // which simply drops that partial round from the profile.
@@ -467,81 +346,36 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
 
     // Barrier: when nothing is in flight and everyone votes ready, advance
     // the phase counter instead of burning an idle round.
-    if (pending_messages_ == 0 && ready_count == n) {
+    if (pending_messages == 0 && ready_count == n) {
       ++phase;
       ++metrics.phases;
-      if (parallel) {
-        run_sharded([&](std::size_t s) { phase_shard(s, phase); });
-        apply_shard_deltas();  // on_phase cannot send; no lanes to merge
-      } else {
-        for (NodeId v = 0; v < n; ++v) {
-          if (is_down(v)) continue;
-          if (trace_ != nullptr) trace_->on_local_step(v);
-          current_node_ = v;
-          set_->on_phase(v, phase);
-          current_node_ = kNoNode;
-          refresh(v);
-        }
-      }
+      dispatch([&](std::size_t s) { phase_shard(s, phase); });
+      apply_shard_deltas();
       if (finished_count == n) {
         metrics.completed = true;
         break;
       }
     }
 
-    // Swap slabs: messages sent last round become this round's inboxes.
-    // Only the counts of boxes that actually held messages are rewound
-    // (dirty buckets); the consumed Message elements stay alive in the
-    // slab, so vector and payload capacity survive — steady-state rounds
-    // perform no allocator traffic.
-    inbox_.swap(next_inbox_);
-    inbox_count_.swap(next_count_);
-    dirty_inbox_.swap(dirty_next_);
-    for (std::vector<NodeId>& bucket : dirty_next_) {
-      for (NodeId v : bucket) next_count_[v] = 0;
-      bucket.clear();
+    // Last round's sends become this round's inboxes; the slabs this round
+    // overwrites held the round before's sends, which nobody reads anymore.
+    outboxes_.swap(last_outboxes_);
+    ranges_.swap(last_ranges_);
+    mail_.swap(last_mail_);
+    dispatch([&](std::size_t s) { round_shard(s, metrics.rounds); });
+    apply_shard_deltas();
+    pending_messages = 0;
+    pending_broadcasts = 0;
+    for (std::size_t s = 0; s < shards; ++s) {
+      pending_messages += outboxes_[s].deliveries();
+      pending_broadcasts += outboxes_[s].size() - outboxes_[s].unicasts();
     }
-    pending_messages_ = 0;
-
-    if (parallel) {
-      run_sharded(
-          [&](std::size_t s) { round_shard(s, metrics.rounds, phase); });
-      run_sharded(merge_column);
-      apply_shard_deltas();
-      for (std::size_t d = 0; d < shards; ++d) {
-        pending_messages_ += shard_enqueued_[d];
-        total_messages_ += shard_enqueued_[d];
-        shard_enqueued_[d] = 0;
-      }
-    } else {
-      for (NodeId v = 0; v < n; ++v) {
-        const std::span<const Message> inbox(inbox_[v].data(),
-                                             inbox_count_[v]);
-        if (is_down(v)) {
-          // Mail queued for a dead node dies with it.
-          if (faults_ != nullptr)
-            faults_->stats().crash_drops += inbox.size();
-          inbox_count_[v] = 0;
-          continue;
-        }
-        if (finished[v] != 0 && inbox.empty()) continue;
-        if (trace_ != nullptr) {
-          for (const Message& message : inbox)
-            trace_->on_deliver(message.from, v);
-          trace_->on_local_step(v);
-        }
-        SyncContext ctx(this, v, graph_.neighbors(v), metrics.rounds, phase);
-        current_node_ = v;
-        set_->on_round(v, ctx, inbox);
-        current_node_ = kNoNode;
-        refresh(v);
-      }
-    }
+    total_messages += pending_messages;
     if (alloc_audit_ != nullptr) alloc_audit_->end_round();
     ++metrics.rounds;
   }
 
-  metrics.messages = total_messages_;
+  metrics.messages = total_messages;
   if (!metrics.completed) metrics.completed = finished_count == n;
   if (faults_ != nullptr) metrics.faults = faults_->stats();
   return metrics;

@@ -14,25 +14,47 @@
 // substitution; round counts reported by the engine are the communication
 // rounds actually consumed.
 //
-// Sharded parallel rounds (DESIGN.md §11, §14): node callbacks are
-// protocol-isolated — a program only touches its own state and the
-// read-only graph (enforced by fdlsp-lint and the happens-before checker) —
-// so with a ThreadPool attached the engine partitions the node id space
-// into contiguous shards and runs each shard's callbacks on a worker. Each
-// shard owns its slice of state: its nodes' inbox slabs, a ChannelTable
-// slice for send-side validation, and an S-lane row of send slabs, one
-// lane per destination shard. After the round barrier a second parallel
-// dispatch merges, per destination shard, the lanes addressed to it in
-// ascending source-shard order — which reproduces the serial (sender id,
-// send order) enqueue order exactly, so the run is byte-identical to the
-// serial engine for any shard count. Trace and fault seams force the
-// serial path: they are observation/adversary channels, not hot paths, and
-// their event ordering contracts stay exactly as documented.
+// Pull delivery (DESIGN.md §11, §14): every send is stored once, in the
+// outbox of the shard executing its sender — a SyncSendSlab in send order,
+// where a broadcast is one entry every neighbor hears and a unicast carries
+// its destination — and the engine records each node's range of it. In
+// round r+1 node v's inbox is a SyncInbox: a view that walks v's neighbors
+// in ascending id over their round-r ranges, keeping broadcasts and the
+// sends addressed to v. That is the (sender id, send order) order of the
+// model, whatever the partition, so no message is copied per receiver and
+// no buffers are merged.
+//
+// Sharded parallel rounds: node callbacks are protocol-isolated — a program
+// only touches its own state and the read-only graph (enforced by
+// fdlsp-lint and the happens-before checker) — so with a ThreadPool
+// attached the engine partitions the node id space into contiguous shards
+// and runs each shard's callbacks on a worker, one pool dispatch per round.
+// A shard writes only its own outbox and its own nodes' ranges, and reads
+// the previous round's outboxes, which nobody writes during the round; the
+// run is byte-identical to the serial engine for any shard count.
+//
+// Unicasts: a range holding any unicast is indexed by destination when its
+// sender's callback returns, so a receiver binary-searches for its own
+// sends instead of scanning the range; each unicast also sets its
+// receiver's mail flag, so after a broadcast-free round a node without
+// mail skips the neighbor walk.
+//
+// Trace and fault seams force the serial path: they are
+// observation/adversary channels, not hot paths. A trace sees one on_send
+// per receiver at send time; a broadcast is still stored once. Under a
+// fault plan a broadcast is expanded at send time into one unicast entry
+// per receiver, in neighbor order, so each FaultPlan verdict is taken in
+// global send order — a drop leaves no entry, a duplicate two, a
+// corruption a corrupted copy.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -40,7 +62,6 @@
 #include "sim/channel_table.h"
 #include "sim/fault.h"
 #include "sim/message.h"
-#include "sim/shard.h"
 #include "sim/trace.h"
 
 namespace fdlsp {
@@ -61,83 +82,271 @@ using SyncSendSink = std::function<void(NodeId to, Message message)>;
 /// allocator traffic to a program's steady state.
 using SyncCaptureSink = std::function<void(NodeId to, const Message& message)>;
 
-/// One send buffered by a parallel-round shard, merged in canonical order
-/// after the shard barrier (engine internal).
-struct SyncBufferedSend {
-  NodeId to;
-  Message message;
-};
+/// Destination of a broadcast outbox entry: every neighbor of the sender.
+/// It is the largest NodeId, so a destination-sorted range keeps its
+/// broadcasts last.
+inline constexpr NodeId kBroadcast = kNoNode;
 
-/// Per-lane slab of buffered sends (engine internal). Slots are recycled —
-/// reset() rewinds the live count without destroying elements — so message
-/// payload capacities survive across rounds and the steady state buffers
-/// without allocating, mirroring the engine's inbox slabs.
+/// One shard's outbox for one round (engine internal): parallel arrays of
+/// messages and destinations in send order, a unicast carrying its
+/// destination and a broadcast marked kBroadcast. `message.from` is the
+/// sender. Slots are recycled — reset() rewinds the live count without
+/// destroying elements — so message payload capacities survive across
+/// rounds and the steady state stores sends without allocating.
 class SyncSendSlab {
  public:
-  /// Appends by move; the displaced slot payload migrates into the source
-  /// (SmallPayload's swapping move-assignment), never freed here.
-  void add(NodeId to, Message&& message) {
-    if (count_ < sends_.size()) {
-      SyncBufferedSend& slot = sends_[count_];
-      slot.to = to;
-      slot.message = std::move(message);
-    } else {
-      sends_.push_back(SyncBufferedSend{to, std::move(message)});
-    }
-    ++count_;
+  /// Appends by move, counting `fanout` deliveries; the displaced slot
+  /// payload migrates into the source (SmallPayload's swapping
+  /// move-assignment), never freed here.
+  // fdlsp-lint: hot — per-send steady-state path, no allocator traffic
+  void add(NodeId to, Message&& message, std::size_t fanout) {
+    next_slot(to, fanout) = std::move(message);
   }
 
-  /// Appends by copy-assign — the slot's payload capacity is reused, so a
-  /// warmed slab buffers broadcast copies with zero allocator traffic. The
-  /// stored copy's `from` field is stamped with `from` (the source message
-  /// is shared by all receivers and never mutated).
-  void add_copy(NodeId to, const Message& message, NodeId from) {
-    if (count_ < sends_.size()) {
-      SyncBufferedSend& slot = sends_[count_];
-      // Dead slots past the live count are unordered; when this slot's
-      // payload capacity is too small, borrow a big-enough one from the
-      // dead region so the slab's total spilled capacity is recycled
-      // instead of every slot index growing independently. The scan is
-      // windowed: per-node inbox rows are degree-sized so a window covers
-      // them entirely, but a shard lane holds a whole shard's sends for
-      // the round, and an unbounded scan that mostly finds nothing (cold
-      // slots hold no spilled capacity yet) turns the warm-up quadratic
-      // in the lane size. Beyond the window the slot grows its own
-      // capacity — a bounded number of times, so the allocation-free
-      // steady state is unchanged.
-      if (message.data.size() > slot.message.data.capacity()) {
-        const std::size_t window =
-            std::min(sends_.size(), count_ + 1 + kBorrowWindow);
-        for (std::size_t j = count_ + 1; j < window; ++j) {
-          if (sends_[j].message.data.capacity() >= message.data.size()) {
-            slot.message.data.swap(sends_[j].message.data);
-            break;
-          }
+  /// Appends by copy-assign, counting `fanout` deliveries, and returns the
+  /// stored copy. The slot's payload capacity is reused, so a warmed slab
+  /// stores copies with zero allocator traffic. The stored copy's `from`
+  /// field is stamped with `from` (the source message is never mutated).
+  // fdlsp-lint: hot — per-send steady-state path, no allocator traffic
+  Message& add_copy(NodeId to, const Message& message, NodeId from,
+                    std::size_t fanout) {
+    Message& slot = next_slot(to, fanout);
+    // Dead slots past the live count are unordered; when this slot's
+    // payload capacity is too small, borrow a big-enough one from the
+    // dead region so the slab's total spilled capacity is recycled
+    // instead of every slot index growing independently. The scan is
+    // windowed: an outbox holds a whole shard's sends for the round, and
+    // an unbounded scan that mostly finds nothing (cold slots hold no
+    // spilled capacity yet) turns the warm-up quadratic in the outbox
+    // size. Beyond the window the slot grows its own capacity — a
+    // bounded number of times, so the allocation-free steady state is
+    // unchanged.
+    if (message.data.size() > slot.data.capacity()) {
+      const std::size_t window =
+          std::min(messages_.size(), count_ + kBorrowWindow);
+      for (std::size_t j = count_; j < window; ++j) {
+        if (messages_[j].data.capacity() >= message.data.size()) {
+          slot.data.swap(messages_[j].data);
+          break;
         }
       }
-      slot.to = to;
-      slot.message = message;
-    } else {
-      sends_.push_back(SyncBufferedSend{to, message});
     }
-    sends_[count_].message.from = from;
-    ++count_;
+    slot = message;
+    slot.from = from;
+    return slot;
   }
 
-  /// The live entries, in send order.
-  std::span<SyncBufferedSend> entries() noexcept {
-    return {sends_.data(), count_};
+  /// Live entries, in send order.
+  std::size_t size() const noexcept { return count_; }
+  const Message* messages() const noexcept { return messages_.data(); }
+
+  /// Unicast entries among the live ones.
+  std::size_t unicasts() const noexcept { return unicasts_; }
+
+  /// Point-to-point deliveries the live entries stand for.
+  std::size_t deliveries() const noexcept { return deliveries_; }
+
+  /// Indexes live entries [begin, begin + len): afterwards the same offsets
+  /// of the order array hold the range's positions sorted by (destination,
+  /// position), so each receiver finds the sends addressed to it — and the
+  /// broadcasts, which sort last — by binary search instead of scanning
+  /// the sender's whole range. The order array grows a bounded number of
+  /// times, then is reused like the slots.
+  void index(std::uint32_t begin, std::uint32_t len) {
+    if (order_.size() < count_) order_.resize(count_);
+    std::uint32_t* first = order_.data() + begin;
+    std::iota(first, first + len, begin);
+    const NodeId* to = to_.data();
+    std::sort(first, first + len, [to](std::uint32_t a, std::uint32_t b) {
+      return to[a] != to[b] ? to[a] < to[b] : a < b;
+    });
+  }
+
+  /// The positions of a range index() has sorted.
+  const std::uint32_t* order(std::uint32_t begin) const noexcept {
+    return order_.data() + begin;
+  }
+
+  /// Ascending positions of the entries addressed to `to` among
+  /// order(begin)[0, len).
+  std::span<const std::uint32_t> addressed(std::uint32_t begin,
+                                           std::uint32_t len,
+                                           NodeId to) const noexcept {
+    const std::uint32_t* first = order(begin);
+    const NodeId* dest = to_.data();
+    const std::uint32_t* lo = std::lower_bound(
+        first, first + len, to,
+        [dest](std::uint32_t pos, NodeId node) { return dest[pos] < node; });
+    const std::uint32_t* hi = std::upper_bound(
+        lo, first + len, to,
+        [dest](NodeId node, std::uint32_t pos) { return node < dest[pos]; });
+    return {lo, hi};
   }
 
   /// Rewinds the live count; elements (and their capacities) stay alive.
-  void reset() noexcept { count_ = 0; }
+  void reset() noexcept {
+    count_ = 0;
+    unicasts_ = 0;
+    deliveries_ = 0;
+  }
 
  private:
   /// Dead-region capacity-borrow scan bound (see add_copy).
   static constexpr std::size_t kBorrowWindow = 32;
 
-  std::vector<SyncBufferedSend> sends_;
+  // The next live slot, addressed to `to`; grows the arrays when full.
+  Message& next_slot(NodeId to, std::size_t fanout) {
+    if (count_ == messages_.size()) {
+      messages_.emplace_back();
+      to_.push_back(to);
+    } else {
+      to_[count_] = to;
+    }
+    unicasts_ += to != kBroadcast ? 1 : 0;
+    deliveries_ += fanout;
+    return messages_[count_++];
+  }
+
+  std::vector<Message> messages_;
+  std::vector<NodeId> to_;
+  std::vector<std::uint32_t> order_;  // index(): per-range sorted positions
   std::size_t count_ = 0;
+  std::size_t unicasts_ = 0;
+  std::size_t deliveries_ = 0;
+};
+
+/// One node's sends of one round: entries [begin, begin + len) of shard
+/// `shard`'s outbox (engine internal). A range holding unicasts is indexed
+/// (SyncSendSlab::index): its first `unicasts` sorted positions are the
+/// unicasts, the rest its broadcasts. A range of broadcasts only is heard
+/// in full by every neighbor and needs no index.
+struct SyncOutRange {
+  std::uint32_t shard = 0;
+  std::uint32_t begin = 0;
+  std::uint32_t len = 0;
+  std::uint32_t unicasts = 0;
+};
+
+/// The messages a node receives in one round, in ascending sender id and,
+/// per sender, in send order. A read-only view, valid only during the
+/// on_round call it is passed to. The engine's inboxes pull from the
+/// senders' outboxes (see the header comment); a harness that assembles an
+/// inbox itself wraps a flat message list.
+class SyncInbox {
+ public:
+  class iterator {
+   public:
+    const Message& operator*() const noexcept { return *cur_; }
+    const Message* operator->() const noexcept { return cur_; }
+    // fdlsp-lint: hot — per-message steady-state path, no allocator traffic
+    iterator& operator++() noexcept {
+      if (run_ != run_end_) {
+        ++run_;
+      } else if (mine_first()) {
+        ++mine_;
+      } else {
+        ++all_;
+      }
+      settle();
+      return *this;
+    }
+    friend bool operator==(const iterator& it,
+                           std::default_sentinel_t) noexcept {
+      return it.cur_ == nullptr;
+    }
+
+   private:
+    friend class SyncInbox;
+    explicit iterator(const SyncInbox& box) noexcept
+        : box_(&box),
+          next_(box.senders_.data()),
+          last_(box.senders_.data() + box.senders_.size()),
+          run_(box.flat_.data()),
+          run_end_(box.flat_.data() + box.flat_.size()) {
+      settle();
+    }
+
+    // Merging an indexed range back into send order: next is mine?
+    bool mine_first() const noexcept {
+      return all_ == all_end_ || (mine_ != mine_end_ && *mine_ < *all_);
+    }
+
+    /// Points cur_ at the next message this node hears — from the current
+    /// run of broadcasts, else the merged position lists of an indexed
+    /// range — pulling the next sender's range whenever both run out; cur_
+    /// becomes null once every sender is exhausted.
+    // fdlsp-lint: hot — per-message steady-state path, no allocator traffic
+    void settle() noexcept {
+      for (;;) {
+        if (run_ != run_end_) {
+          cur_ = run_;
+          return;
+        }
+        if (mine_ != mine_end_ || all_ != all_end_) {
+          cur_ = base_ + (mine_first() ? *mine_ : *all_);
+          return;
+        }
+        if (next_ == last_) {
+          cur_ = nullptr;
+          return;
+        }
+        const SyncOutRange& range = box_->ranges_[(next_++)->to];
+        if (range.len == 0) continue;
+        const SyncSendSlab& slab = box_->outboxes_[range.shard];
+        if (range.unicasts == 0) {
+          run_ = slab.messages() + range.begin;
+          run_end_ = run_ + range.len;
+          continue;
+        }
+        base_ = slab.messages();
+        const std::span<const std::uint32_t> mine =
+            slab.addressed(range.begin, range.unicasts, box_->self_);
+        mine_ = mine.data();
+        mine_end_ = mine.data() + mine.size();
+        all_ = slab.order(range.begin) + range.unicasts;
+        all_end_ = slab.order(range.begin) + range.len;
+      }
+    }
+
+    const SyncInbox* box_ = nullptr;
+    const NeighborEntry* next_ = nullptr;  // next sender to pull
+    const NeighborEntry* last_ = nullptr;  // end of the senders
+    const Message* cur_ = nullptr;
+    const Message* run_ = nullptr;  // contiguous messages heard in full
+    const Message* run_end_ = nullptr;
+    const Message* base_ = nullptr;  // indexed range's slab messages
+    const std::uint32_t* mine_ = nullptr;  // positions addressed to self
+    const std::uint32_t* mine_end_ = nullptr;
+    const std::uint32_t* all_ = nullptr;  // positions of broadcasts
+    const std::uint32_t* all_end_ = nullptr;
+  };
+
+  /// A flat inbox: every message is heard, in order.
+  explicit SyncInbox(std::span<const Message> messages) noexcept
+      : flat_(messages) {}
+
+  iterator begin() const noexcept { return iterator(*this); }
+  std::default_sentinel_t end() const noexcept { return {}; }
+  bool empty() const noexcept { return begin() == end(); }
+
+  /// Number of messages; walks the view.
+  std::size_t size() const noexcept {
+    std::size_t count = 0;
+    for (iterator it = begin(); it != end(); ++it) ++count;
+    return count;
+  }
+
+ private:
+  friend class SyncEngine;
+  SyncInbox(NodeId self, std::span<const NeighborEntry> senders,
+            const SyncOutRange* ranges, const SyncSendSlab* outboxes) noexcept
+      : self_(self), senders_(senders), ranges_(ranges), outboxes_(outboxes) {}
+
+  NodeId self_ = kBroadcast;
+  std::span<const Message> flat_;
+  std::span<const NeighborEntry> senders_;  // ascending id
+  const SyncOutRange* ranges_ = nullptr;    // per node, last round's sends
+  const SyncSendSlab* outboxes_ = nullptr;  // per shard, last round's sends
 };
 
 /// Per-round context handed to a node program; valid only during on_round.
@@ -166,15 +375,15 @@ class SyncContext {
   /// Sends a message to a direct neighbor, delivered next round.
   void send(NodeId to, Message message);
 
-  /// Broadcasts a message the caller is done with: d-1 payload copies plus
-  /// one move for the final neighbor.
+  /// Broadcasts a message the caller is done with: it is moved into the
+  /// outbox once, and every neighbor hears that one entry.
   void broadcast(Message&& message);
 
   /// Broadcasts a message the caller keeps (e.g. a reusable scratch): the
-  /// engine copy-assigns into its recycled inbox slots, so a warmed run
+  /// engine copy-assigns it into a recycled outbox slot, so a warmed run
   /// broadcasts with zero allocator traffic even for spilled payloads —
   /// the zero-alloc seam DistMIS's flood relays ride (DESIGN.md §11). The
-  /// message's `from` field is left untouched; the delivered copies carry
+  /// message's `from` field is left untouched; the delivered copy carries
   /// this node's id regardless.
   void broadcast(const Message& message);
 
@@ -217,16 +426,15 @@ class SyncContext {
         round_(round),
         phase_(phase) {}
 
-  // send() for targets already known to be neighbors — broadcast iterates
-  // neighbors_, which the engine built from the graph, so the per-send
-  // neighbor-ness validation (a binary search) would re-prove an invariant
-  // that holds by construction. Direct send() keeps the check.
-  void send_trusted(NodeId to, Message message);
+  // True when sends go straight into the outbox: an engine context with no
+  // capture, no sink, and no fault plan to expand broadcasts for.
+  bool direct() const noexcept {
+    return capture_ == nullptr && sink_ == nullptr && !expand_;
+  }
 
-  // Copying twin of send_trusted for broadcast(const Message&): the payload
-  // is copy-assigned into a recycled slot instead of materializing a
-  // temporary Message per receiver.
-  void send_trusted_copy(NodeId to, const Message& message);
+  // One copy of `message` to neighbors_[position], for every path but the
+  // direct one.
+  void send_copy_at(std::size_t position, const Message& message);
 
   SyncEngine* engine_;
   NodeId self_;
@@ -236,14 +444,10 @@ class SyncContext {
   const SyncSendSink* sink_ = nullptr;  // non-null: capture instead of send
   // Non-null: borrow-capture instead of send (external contexts only).
   const SyncCaptureSink* capture_ = nullptr;
-  // Non-null on parallel rounds: the executing shard's row of per-
-  // destination-shard send lanes. Sends are buffered in
-  // lanes_[plan_.shard_of(to)] for the post-barrier merge instead of
-  // touching shared engine state from a worker thread.
-  SyncSendSlab* lanes_ = nullptr;
-  ShardPlan plan_{};                        // parallel rounds only
-  std::size_t shard_ = 0;                   // executing shard (0 = serial)
-  const ChannelTable* channels_ = nullptr;  // shard-local send validation
+  SyncSendSlab* outbox_ = nullptr;  // the executing shard's outbox
+  SimTrace* trace_ = nullptr;       // attached trace (serial path only)
+  bool expand_ = false;  // fault plan attached: one entry per receiver
+  std::size_t shard_ = 0;  // executing shard (0 = serial)
 };
 
 /// A node program for the synchronous engine.
@@ -254,7 +458,7 @@ class SyncProgram {
   /// Executes one round: consume this round's inbox, send next round's
   /// messages. Called once per round for every node, in unspecified order
   /// (sends are buffered, so order cannot be observed).
-  virtual void on_round(SyncContext& ctx, std::span<const Message> inbox) = 0;
+  virtual void on_round(SyncContext& ctx, const SyncInbox& inbox) = 0;
 
   /// True when this node is ready for the current phase to end. The engine
   /// advances the phase (calling on_phase on everyone) once all nodes vote
@@ -293,7 +497,7 @@ class SyncProgramSet {
 
   /// Per-node callbacks; semantics exactly as in SyncProgram.
   virtual void on_round(NodeId v, SyncContext& ctx,
-                        std::span<const Message> inbox) = 0;
+                        const SyncInbox& inbox) = 0;
   virtual bool ready_for_phase_advance(NodeId v) const = 0;
   virtual void on_phase(NodeId v, std::size_t new_phase) = 0;
   virtual bool finished(NodeId v) const = 0;
@@ -310,7 +514,7 @@ class VectorProgramSet final : public SyncProgramSet {
 
   std::size_t size() const override { return programs_.size(); }
   void on_round(NodeId v, SyncContext& ctx,
-                std::span<const Message> inbox) override {
+                const SyncInbox& inbox) override {
     programs_[v]->on_round(ctx, inbox);
   }
   bool ready_for_phase_advance(NodeId v) const override {
@@ -337,7 +541,7 @@ class SetNodeProgram final : public SyncProgram {
   SetNodeProgram(SyncProgramSet& set, NodeId self)
       : set_(&set), self_(self) {}
 
-  void on_round(SyncContext& ctx, std::span<const Message> inbox) override {
+  void on_round(SyncContext& ctx, const SyncInbox& inbox) override {
     set_->on_round(self_, ctx, inbox);
   }
   bool ready_for_phase_advance() const override {
@@ -392,12 +596,11 @@ class SyncEngine {
 
   /// Shards state and rounds across `pool` (nullptr detaches → serial).
   /// The result is byte-identical to the serial engine for any shard or
-  /// thread count: each contiguous node shard buffers its sends per
-  /// destination shard, and the post-barrier merge drains each
-  /// destination's lanes in ascending source-shard order — exactly the
-  /// serial enqueue order. An attached trace or fault plan forces serial
-  /// execution so their event ordering contracts are untouched. Not owned;
-  /// must outlive the run.
+  /// thread count: each contiguous node shard stores its sends in its own
+  /// outbox, and every inbox pulls its senders' ranges in ascending sender
+  /// id — the same order whatever the partition. An attached trace or
+  /// fault plan forces serial execution so their event ordering contracts
+  /// are untouched. Not owned; must outlive the run.
   void set_thread_pool(ThreadPool* pool) noexcept { pool_ = pool; }
 
   /// Explicit shard count for pooled runs; 0 (the default) derives the
@@ -439,13 +642,12 @@ class SyncEngine {
 
  private:
   friend class SyncContext;
-  void deliver(NodeId from, NodeId to, Message&& message);
-  void deliver_trusted(NodeId from, NodeId to, Message&& message);
-  void deliver_trusted_copy(NodeId from, NodeId to, const Message& message);
-  void deliver_faulted(ArcId channel, NodeId from, NodeId to, Message message);
-  void enqueue(NodeId from, NodeId to, Message&& message);
-  void enqueue_copy(NodeId from, NodeId to, const Message& message);
-  Message& next_slot(NodeId to, std::size_t words, std::vector<NodeId>& dirty);
+  void note_unicast(NodeId to) noexcept {
+    std::atomic_ref<std::uint8_t>(mail_[to]).store(1,
+                                                   std::memory_order_relaxed);
+  }
+  void post(SyncSendSlab& outbox, NodeId from, std::size_t position,
+            const Message& message);
 
   void note_program_access(NodeId v) const {
     if (trace_ != nullptr && current_node_ != kNoNode && current_node_ != v)
@@ -455,36 +657,25 @@ class SyncEngine {
   const Graph& graph_;
   std::unique_ptr<VectorProgramSet> owned_;  // per-node-program ctor only
   SyncProgramSet* set_;                      // the programs driving the run
-  // Inbox slabs: per-node message vectors with a separately tracked live
-  // count. Between rounds only the counts of the boxes named in the dirty
-  // lists are rewound — the Message elements beyond the count stay alive,
-  // so both the vector capacity and any spilled payload capacity survive
-  // and steady-state rounds allocate nothing. Messages are copy-assigned
-  // (broadcast const&) or swap-moved into the recycled slots; the slab
-  // never destroys an element until the engine itself dies.
-  std::vector<std::vector<Message>> inbox_;       // delivered this round
-  std::vector<std::vector<Message>> next_inbox_;  // sent this round
-  std::vector<std::size_t> inbox_count_;  // live messages per inbox_ slab
-  std::vector<std::size_t> next_count_;   // live messages per next_ slab
-  // Dirty lists are bucketed per destination shard so the parallel lane
-  // merge appends without sharing: serial rounds use bucket 0, merge
-  // worker d uses bucket d. The round swap rewinds every bucket, so which
-  // bucket recorded a box never matters for correctness.
-  std::vector<std::vector<NodeId>> dirty_inbox_;  // inbox_ boxes w/ messages
-  std::vector<std::vector<NodeId>> dirty_next_;   // next_inbox_ boxes
-  std::size_t pending_messages_ = 0;
-  std::size_t total_messages_ = 0;
+  // Double-buffered outboxes, one slab per shard, and each node's range in
+  // them: round r writes outboxes_/ranges_ while its inboxes read
+  // last_outboxes_/last_ranges_ (round r-1); the two swap between rounds.
+  // Slabs are sized once and recycled, so steady-state rounds allocate
+  // nothing.
+  std::vector<SyncSendSlab> outboxes_;
+  std::vector<SyncSendSlab> last_outboxes_;
+  std::vector<SyncOutRange> ranges_;
+  std::vector<SyncOutRange> last_ranges_;
+  // Per node: a unicast to it was stored this round (mail_) or last round.
+  // Senders in any shard mark receivers (relaxed atomic stores); each node
+  // clears its own last_mail_ flag as it reads it.
+  std::vector<std::uint8_t> mail_;
+  std::vector<std::uint8_t> last_mail_;
   SimTrace* trace_ = nullptr;
   FaultPlan* faults_ = nullptr;
   ThreadPool* pool_ = nullptr;  // non-null: shard state across workers
   AllocAudit* alloc_audit_ = nullptr;  // non-null: bracket rounds
   std::size_t shards_config_ = 0;      // set_shards(); 0 = automatic
-  // --- sharded-run state (sized on the first parallel run) ---
-  ShardPlan plan_{};                       // partition of the current run
-  std::vector<SyncSendSlab> lanes_;        // S*S lanes, index src*S + dst
-  std::vector<std::size_t> shard_enqueued_;   // per-dst-shard merge counts
-  std::vector<ChannelTable> shard_channels_;  // per-shard send slices
-  std::size_t sliced_shards_ = 0;  // shard count the slices were built for
   ChannelTable channels_;                     // fault path only
   std::vector<std::uint64_t> channel_posts_;  // fault path only
   std::size_t current_round_ = 0;             // fault path only

@@ -221,7 +221,8 @@ void SyncOverAsyncProgram::execute_round(AsyncContext& ctx) {
     SyncContext sctx = SyncContext::external(
         self_, neighbors_, r, coordinator_->phase(), &capture_sink_);
     set_->on_round(self_, sctx,
-                   std::span<const Message>(inbox_.data(), inbox_live_));
+                   SyncInbox(std::span<const Message>(inbox_.data(),
+                                                      inbox_live_)));
   }
 
   for (std::size_t idx = 0; idx < degree; ++idx)

@@ -10,7 +10,7 @@
 // protocols actually use, so call sites are unchanged.
 //
 // clear() keeps a spilled buffer (reset, not freed): a payload object that
-// is reused round after round — the engines' inbox slabs — settles into a
+// is reused round after round — the engines' message slabs — settles into a
 // steady state with zero allocator traffic.
 #pragma once
 
@@ -62,7 +62,7 @@ class SmallPayload {
 
   /// Move-assignment SWAPS buffers instead of freeing the destination's:
   /// the moved-from payload walks away with our old capacity, so in the
-  /// engines' recycling loops (inbox slabs, scratch messages) spilled
+  /// engines' recycling loops (message slabs, scratch messages) spilled
   /// buffers circulate between slots instead of being freed and
   /// reallocated — the steady state allocates nothing. The moved-from
   /// object is still valid-but-unspecified, exactly as std::vector's.

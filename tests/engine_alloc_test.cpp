@@ -116,11 +116,11 @@ TEST(EngineAllocProfile, PooledDistMisReachesZeroAllocSteadyState) {
 }
 
 TEST(EngineAllocProfile, ShardedDistMisKeepsZeroAllocTailPerShardCount) {
-  // Sharded *state* must preserve the allocation-free tail: per-shard send
-  // lanes recycle slot capacity exactly like the inbox slabs, the lane
-  // merge swap-moves payloads (never frees), and the SoA per-shard scratch
-  // is pre-sized by prepare_shards. The audit does not force the serial
-  // path, so these runs really exercise the lanes.
+  // Sharded *state* must preserve the allocation-free tail: each shard's
+  // outbox recycles slot capacity, inboxes only read other shards'
+  // outboxes, and the SoA per-shard scratch is pre-sized by
+  // prepare_shards. The audit does not force the serial path, so these
+  // runs really exercise the per-shard outboxes.
   if (!alloc_audit_enabled())
     GTEST_SKIP() << "allocation hooks compiled out (sanitizer build)";
   const Graph graph = paper_udg(1000);

@@ -223,7 +223,7 @@ TEST(ParallelEngine, PoolReusableAcrossRuns) {
 // Sharded state: byte-identical to serial for any shard count
 // ---------------------------------------------------------------------------
 
-TEST(ShardedEngine, ShardPlanPartitionsContiguouslyAndInvertsExactly) {
+TEST(ShardedEngine, ShardPlanPartitionsContiguously) {
   for (const std::size_t n : {1u, 2u, 7u, 24u, 1000u}) {
     for (const std::size_t count : {1u, 2u, 4u, 8u}) {
       if (count > n) continue;
@@ -232,9 +232,6 @@ TEST(ShardedEngine, ShardPlanPartitionsContiguouslyAndInvertsExactly) {
       for (std::size_t s = 0; s < count; ++s) {
         ASSERT_EQ(plan.lo(s), covered) << "gap at shard " << s;
         ASSERT_LE(plan.lo(s), plan.hi(s));
-        for (std::size_t v = plan.lo(s); v < plan.hi(s); ++v)
-          ASSERT_EQ(plan.shard_of(static_cast<NodeId>(v)), s)
-              << "n=" << n << " count=" << count << " v=" << v;
         covered = plan.hi(s);
       }
       EXPECT_EQ(covered, n);  // shards cover [0, n) exactly
@@ -243,7 +240,7 @@ TEST(ShardedEngine, ShardPlanPartitionsContiguouslyAndInvertsExactly) {
 }
 
 // The tentpole contract: with engine *state* partitioned into 1/2/4/8
-// contiguous shards — per-shard send lanes, ChannelTable slices, SoA
+// contiguous shards — per-shard outboxes, pulled inboxes, SoA
 // protocol scratch — every engine-backed scheduler must stay byte-identical
 // to the serial run across all six scenario families. The probe lives in
 // src/verify so other batteries can sweep it too.

@@ -173,7 +173,7 @@ TEST(LintPointerKey, ValueTypePointersAreFine) {
 constexpr const char* kPeekingProgram =
     "class BadProgram : public SyncProgram {\n"
     " public:\n"
-    "  void on_round(SyncContext& ctx, std::span<const Message> inbox) {\n"
+    "  void on_round(SyncContext& ctx, const SyncInbox& inbox) {\n"
     "    auto& peer = engine_->program(self_ + 1);\n"
     "  }\n"
     " private:\n"

@@ -5,7 +5,8 @@
 #   tools/ci.sh            # tier-1 (full suite, RelWithDebInfo)
 #   tools/ci.sh asan       # ASan+UBSan build, proptest-labeled suite
 #                          # plus the alloc and repair suites
-#   tools/ci.sh tsan       # TSan build, the same selection
+#   tools/ci.sh tsan       # TSan build, the same selection, plus a
+#                          # repeat stress of the threaded suites
 #   tools/ci.sh faults     # fault-injection gate: faulttest-labeled suite,
 #                          # plain and under ASan+UBSan
 #   tools/ci.sh soak       # continuous-operation gate: soaktest-labeled
@@ -52,6 +53,18 @@ run_sanitizer() {  # $1 = preset name (asan-ubsan | tsan)
   # is live, catch such a read.
   ctest --test-dir "build-${preset}" -R '^(repair_test|dist_repair_test)$' \
     --output-on-failure
+}
+
+run_tsan_stress() {
+  echo "=== tsan: repeat stress of the threaded suites ==="
+  # Pooled sync rounds read every shard's previous-round outbox while each
+  # worker fills its own; a race there needs an unlucky interleaving, so
+  # the suites that drive pooled rounds repeat on every core. The filter
+  # leaves out the async golden run: single-threaded, it cannot race, and
+  # it is most of dist_mis_test's time under TSan.
+  GTEST_FILTER='-DistMisGolden.AsyncRunsMatchPins' \
+    ctest --test-dir build-tsan -R '^(engine_parallel_test|dist_mis_test)$' \
+    --repeat until-fail:20 --output-on-failure -j "$(nproc)"
 }
 
 run_faults() {
@@ -158,7 +171,10 @@ run_bench_compare() {
 case "${jobs}" in
   tier1) run_tier1 ;;
   asan) run_sanitizer asan-ubsan ;;
-  tsan) run_sanitizer tsan ;;
+  tsan)
+    run_sanitizer tsan
+    run_tsan_stress
+    ;;
   faults) run_faults ;;
   soak) run_soak ;;
   lint) run_lint ;;
@@ -170,6 +186,7 @@ case "${jobs}" in
     run_tier1
     run_sanitizer asan-ubsan
     run_sanitizer tsan
+    run_tsan_stress
     run_faults
     run_soak
     run_tidy
