@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "algos/sync_run.h"
 #include "coloring/conflict.h"
 #include "graph/arcs.h"
 #include "sim/async_engine.h"
@@ -515,56 +516,29 @@ class DistMisSet final : public SyncProgramSet {
 ScheduleResult run_dist_mis(const Graph& graph,
                             const DistMisOptions& options) {
   DistMisSet set(graph, options.variant, options.seed, options.pool);
-  const FaultSpec spec = options.faults != nullptr ? *options.faults
-                                                  : FaultSpec{};
-  std::size_t round_budget = options.max_rounds;
-  std::optional<SyncEngine> engine;
-  if (options.reliable) {
-    // Hardened nodes need the per-node wrapper, so the set rides behind
-    // one SetNodeProgram adapter per node.
-    std::vector<std::unique_ptr<SyncProgram>> programs;
-    programs.reserve(graph.num_nodes());
-    for (NodeId v = 0; v < graph.num_nodes(); ++v)
-      programs.push_back(std::make_unique<ReliableSyncProgram>(
-          std::make_unique<SetNodeProgram>(set, v), spec));
-    round_budget *= ReliableSyncProgram::round_dilation(spec);
-    engine.emplace(graph, std::move(programs));
-  } else {
-    engine.emplace(graph, set);
-  }
-  engine->set_trace(options.trace);
-  engine->set_thread_pool(options.pool);
-  engine->set_alloc_audit(options.audit);
-  engine->set_shards(options.shards);
-  std::optional<FaultPlan> plan;
-  if (options.faults != nullptr && options.faults->any()) {
-    plan.emplace(spec, graph);
-    engine->set_fault_plan(&*plan);
-  }
-  if (options.reliable) {
-    // On this path the engine prepares the program set it drives — the
-    // vector of reliable wrappers — so the underlying SoA set must be
-    // prepared by hand, with the engine's own shard decision. This has to
-    // happen after every seam is configured: an attached fault plan or
-    // trace forces planned_shards() == 1.
-    set.prepare_shards(engine->planned_shards());
-  }
-  const SyncMetrics metrics = engine->run(round_budget);
+  const RunConfig config{.seed = options.seed,
+                         .trace = options.trace,
+                         .faults = options.faults,
+                         .reliable = options.reliable,
+                         .pool = options.pool,
+                         .shards = options.shards};
+  SyncRun run = run_sync(graph, set, config, options.max_rounds,
+                         options.audit);
   // Crashed nodes cannot color their arcs, and lossy channels without the
   // reliable wrapper void the algorithm's knowledge guarantees — such runs
   // report what happened instead of aborting, and the fault oracles judge
   // the outcome.
   const bool relaxed =
-      plan.has_value() &&
-      (spec.crash_fraction > 0.0 || spec.link_down_fraction > 0.0 ||
-       !options.reliable);
+      run.faulted && (options.faults->crash_fraction > 0.0 ||
+                      options.faults->link_down_fraction > 0.0 ||
+                      !options.reliable);
   if (!relaxed)
-    FDLSP_REQUIRE(metrics.completed,
+    FDLSP_REQUIRE(run.metrics.completed,
                   "DistMIS did not complete in round budget");
 
   ScheduleResult result;
-  result.completed = metrics.completed;
-  result.faults = metrics.faults;
+  result.completed = run.metrics.completed;
+  result.faults = run.metrics.faults;
   std::size_t double_colored = 0;
   result.coloring = set.collect_coloring(double_colored);
   if (!relaxed) {
@@ -572,22 +546,10 @@ ScheduleResult run_dist_mis(const Graph& graph,
     FDLSP_REQUIRE(result.coloring.complete(), "DistMIS left arcs uncolored");
   }
   result.num_slots = result.coloring.num_colors_used();
-  result.rounds = metrics.rounds;
-  result.messages = metrics.messages;
-  if (options.reliable) {
-    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-      const auto& wrapper =
-          static_cast<const ReliableSyncProgram&>(engine->program(v));
-      result.transport.merge(wrapper.transport_stats());
-      result.suspected.insert(result.suspected.end(),
-                              wrapper.suspected_peers().begin(),
-                              wrapper.suspected_peers().end());
-    }
-    std::sort(result.suspected.begin(), result.suspected.end());
-    result.suspected.erase(
-        std::unique(result.suspected.begin(), result.suspected.end()),
-        result.suspected.end());
-  }
+  result.rounds = run.metrics.rounds;
+  result.messages = run.metrics.messages;
+  result.transport = run.transport;
+  result.suspected = std::move(run.suspected);
   return result;
 }
 

@@ -67,7 +67,7 @@ struct DistMisOptions {
   const FaultSpec* faults = nullptr;
   /// Harden every node with the ack/retransmit wrapper (sim/reliable.h);
   /// preserves the feasibility guarantee under lossy plans at a round cost
-  /// of ReliableSyncProgram::round_dilation(*faults) per algorithm round.
+  /// of ReliableSyncSet::round_dilation(*faults) per algorithm round.
   bool reliable = false;
   /// Shard engine state and rounds across this pool (see
   /// SyncEngine::set_thread_pool; byte-identical to the serial run for any

@@ -1,14 +1,12 @@
 #include "algos/dist_repair.h"
 
 #include <algorithm>
-#include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
+#include "algos/sync_run.h"
 #include "coloring/conflict.h"
 #include "graph/arcs.h"
-#include "sim/reliable.h"
 #include "sim/sync_engine.h"
 #include "support/check.h"
 #include "support/flat_hash.h"
@@ -27,10 +25,12 @@ constexpr std::int32_t kTagCompWin = 4;    // data: [origin, block, ttl, arc,
 constexpr std::size_t kFloodRadius = 2;
 constexpr std::size_t kBlockLength = 2 * kFloodRadius + 1;
 
-class DistRepairProgram final : public SyncProgram {
+/// One node's repair state and protocol steps; DistRepairSet holds one per
+/// node and forwards the engine's callbacks to it.
+class RepairNode {
  public:
-  DistRepairProgram(const ArcView& view, NodeId self,
-                    const ArcColoring& stale, std::uint64_t seed)
+  RepairNode(const ArcView& view, NodeId self, const ArcColoring& stale,
+             std::uint64_t seed)
       : view_(&view), self_(self), rng_(seed) {
     for (ArcId a : view.out_arcs(self)) {
       out_arcs_.push_back(a);
@@ -42,20 +42,20 @@ class DistRepairProgram final : public SyncProgram {
     }
   }
 
-  bool finished() const override { return repaired_; }
+  bool finished() const { return repaired_; }
 
-  bool ready_for_phase_advance() const override {
+  bool ready_for_phase_advance() const {
     return in_exchange_phase_ ? exchanged_ : repaired_;
   }
 
-  void on_phase(std::size_t new_phase) override {
+  void on_phase(std::size_t new_phase) {
     rounds_in_phase_ = 0;
     in_exchange_phase_ = (new_phase == 0);
     if (new_phase == 1 && !repaired_ && dirty_arcs().empty())
       repaired_ = true;  // stale colors survived intact; nothing to do
   }
 
-  void on_round(SyncContext& ctx, const SyncInbox& inbox) override {
+  void on_round(SyncContext& ctx, const SyncInbox& inbox) {
     for (const Message& message : inbox) process(ctx, message);
     if (in_exchange_phase_) {
       exchange_step(ctx);
@@ -297,78 +297,78 @@ class DistRepairProgram final : public SyncProgram {
   FlatHashSet<std::uint64_t> seen_;  // dedup only — see flat_hash.h
 };
 
+/// The repair protocol of every node, behind the engine's program-set
+/// interface. A node's callbacks touch only its own RepairNode, so pooled
+/// shards run it like any other set.
+class DistRepairSet final : public SyncProgramSet {
+ public:
+  /// Seeds node v's Rng with the v-th draw of `seed`'s stream.
+  DistRepairSet(const ArcView& view, const ArcColoring& stale,
+                std::uint64_t seed) {
+    nodes_.reserve(view.graph().num_nodes());
+    Rng seeder(seed);
+    for (NodeId v = 0; v < view.graph().num_nodes(); ++v)
+      nodes_.emplace_back(view, v, stale, seeder());
+  }
+
+  std::size_t size() const override { return nodes_.size(); }
+  void on_round(NodeId v, SyncContext& ctx, const SyncInbox& inbox) override {
+    nodes_[v].on_round(ctx, inbox);
+  }
+  bool ready_for_phase_advance(NodeId v) const override {
+    return nodes_[v].ready_for_phase_advance();
+  }
+  void on_phase(NodeId v, std::size_t new_phase) override {
+    nodes_[v].on_phase(new_phase);
+  }
+  bool finished(NodeId v) const override { return nodes_[v].finished(); }
+
+  const RepairNode& node(NodeId v) const { return nodes_[v]; }
+
+ private:
+  std::vector<RepairNode> nodes_;
+};
+
 }  // namespace
 
 DistRepairResult run_distributed_repair(const Graph& graph,
                                         const ArcColoring& stale,
-                                        std::uint64_t seed,
-                                        std::size_t max_rounds,
-                                        SimTrace* trace,
-                                        const FaultSpec* faults,
-                                        bool reliable,
-                                        ThreadPool* pool,
-                                        std::size_t shards) {
+                                        const RunConfig& config,
+                                        std::size_t max_rounds) {
   const ArcView view(graph);
   FDLSP_REQUIRE(stale.num_arcs() == view.num_arcs(),
                 "stale coloring does not match graph");
-  std::vector<std::unique_ptr<SyncProgram>> programs;
-  programs.reserve(graph.num_nodes());
-  Rng seeder(seed);
-  for (NodeId v = 0; v < graph.num_nodes(); ++v)
-    programs.push_back(
-        std::make_unique<DistRepairProgram>(view, v, stale, seeder()));
-  const FaultSpec spec = faults != nullptr ? *faults : FaultSpec{};
-  std::size_t round_budget = max_rounds;
-  if (reliable) {
-    for (auto& program : programs)
-      program = std::make_unique<ReliableSyncProgram>(std::move(program),
-                                                      spec);
-    round_budget *= ReliableSyncProgram::round_dilation(spec);
-  }
-  SyncEngine engine(graph, std::move(programs));
-  engine.set_trace(trace);
-  engine.set_thread_pool(pool);
-  engine.set_shards(shards);
-  std::optional<FaultPlan> plan;
-  if (faults != nullptr && faults->any()) {
-    plan.emplace(spec, graph);
-    engine.set_fault_plan(&*plan);
-  }
-  const SyncMetrics metrics = engine.run(round_budget);
+  DistRepairSet set(view, stale, config.seed);
+  const SyncRun run = run_sync(graph, set, config, max_rounds);
   // See dist_mis.cpp: faulted runs report their outcome for the fault
   // oracles to judge instead of aborting. Repair under unhardened loss
   // terminates with stale knowledge — conflicting survivors included —
   // which is exactly the failing case the shrinker minimizes.
-  const bool relaxed = plan.has_value();
+  const bool relaxed = run.faulted;
   if (!relaxed)
-    FDLSP_REQUIRE(metrics.completed, "distributed repair did not complete");
+    FDLSP_REQUIRE(run.metrics.completed,
+                  "distributed repair did not complete");
 
   DistRepairResult result;
-  result.completed = metrics.completed;
-  result.faults = metrics.faults;
+  result.completed = run.metrics.completed;
+  result.faults = run.metrics.faults;
+  result.transport = run.transport;
   result.coloring = ArcColoring(view.num_arcs());
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    const SyncProgram& top = engine.program(v);
-    if (reliable)
-      result.transport.merge(
-          static_cast<const ReliableSyncProgram&>(top).transport_stats());
-    const auto& program =
-        reliable ? static_cast<const DistRepairProgram&>(
-                       static_cast<const ReliableSyncProgram&>(top).inner())
-                 : static_cast<const DistRepairProgram&>(top);
-    for (const auto& [arc, color] : program.surviving_colors()) {
+    const RepairNode& node = set.node(v);
+    for (const auto& [arc, color] : node.surviving_colors()) {
       if (!relaxed)
         FDLSP_REQUIRE(!result.coloring.is_colored(arc),
                       "arc colored by two tails");
       result.coloring.set(arc, color);
     }
-    result.recolored_arcs += program.assignments().size();
+    result.recolored_arcs += node.assignments().size();
   }
   if (!relaxed)
     FDLSP_REQUIRE(result.coloring.complete(), "repair left arcs uncolored");
   result.num_slots = result.coloring.num_colors_used();
-  result.rounds = metrics.rounds;
-  result.messages = metrics.messages;
+  result.rounds = run.metrics.rounds;
+  result.messages = run.metrics.messages;
   return result;
 }
 

@@ -8,13 +8,12 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
-#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "algos/sync_run.h"
 #include "graph/arcs.h"
-#include "sim/reliable.h"
 #include "sim/sync_engine.h"
 #include "support/check.h"
 #include "support/rng.h"
@@ -84,9 +83,9 @@ class RandomizedSet final : public SyncProgramSet {
 
   std::size_t size() const override { return done_.size(); }
 
-  /// Sizes per-shard scratch; one prepared set sticks to one shard count
-  /// (same contract as DistMisSet, and all the reliable-composition path
-  /// needs — see run_randomized).
+  /// Sizes per-shard scratch; one prepared set sticks to one shard count,
+  /// which is all a run needs (the reliable decorator forwards the
+  /// engine's call).
   void prepare_shards(std::size_t shards) override {
     FDLSP_REQUIRE(shards > 0, "shard count must be positive");
     if (shards == prepared_) return;
@@ -289,62 +288,28 @@ class RandomizedSet final : public SyncProgramSet {
 ScheduleResult run_randomized(const Graph& graph,
                               const RandomizedOptions& options) {
   RandomizedSet set(graph, options.seed);
-  const FaultSpec spec = options.faults != nullptr ? *options.faults
-                                                   : FaultSpec{};
-  std::size_t round_budget = options.max_rounds;
-  std::optional<SyncEngine> engine;
-  if (options.reliable) {
-    // Hardened nodes need the per-node wrapper, so the set rides behind
-    // one SetNodeProgram adapter per node.
-    std::vector<std::unique_ptr<SyncProgram>> programs;
-    programs.reserve(graph.num_nodes());
-    for (NodeId v = 0; v < graph.num_nodes(); ++v)
-      programs.push_back(std::make_unique<ReliableSyncProgram>(
-          std::make_unique<SetNodeProgram>(set, v), spec));
-    round_budget *= ReliableSyncProgram::round_dilation(spec);
-    engine.emplace(graph, std::move(programs));
-  } else {
-    engine.emplace(graph, set);
-  }
-  engine->set_trace(options.trace);
-  engine->set_thread_pool(options.pool);
-  engine->set_shards(options.shards);
-  std::optional<FaultPlan> plan;
-  if (options.faults != nullptr && options.faults->any()) {
-    plan.emplace(spec, graph);
-    engine->set_fault_plan(&*plan);
-  }
-  if (options.reliable) {
-    // On this path the engine prepares the program set it drives — the
-    // vector of reliable wrappers — so the underlying SoA set must be
-    // prepared by hand, with the engine's own shard decision, after every
-    // seam is configured (trace/faults force planned_shards() == 1).
-    set.prepare_shards(engine->planned_shards());
-  }
-  const SyncMetrics metrics = engine->run(round_budget);
+  const RunConfig config{.seed = options.seed,
+                         .trace = options.trace,
+                         .faults = options.faults,
+                         .reliable = options.reliable,
+                         .pool = options.pool,
+                         .shards = options.shards};
+  SyncRun run = run_sync(graph, set, config, options.max_rounds);
   // See dist_mis.cpp: crash/churn plans and unhardened lossy runs report
   // their outcome for the fault oracles to judge instead of aborting.
   const bool relaxed =
-      plan.has_value() &&
-      (spec.crash_fraction > 0.0 || spec.link_down_fraction > 0.0 ||
-       !options.reliable);
+      run.faulted && (options.faults->crash_fraction > 0.0 ||
+                      options.faults->link_down_fraction > 0.0 ||
+                      !options.reliable);
   if (!relaxed)
-    FDLSP_REQUIRE(metrics.completed,
+    FDLSP_REQUIRE(run.metrics.completed,
                   "randomized algorithm did not converge in round budget");
 
   ScheduleResult result;
-  result.completed = metrics.completed;
-  result.faults = metrics.faults;
+  result.completed = run.metrics.completed;
+  result.faults = run.metrics.faults;
   result.coloring = ArcColoring(set.num_arcs());
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    if (options.reliable) {
-      const auto& wrapper =
-          static_cast<const ReliableSyncProgram&>(engine->program(v));
-      result.transport.merge(wrapper.transport_stats());
-      result.suspected.insert(result.suspected.end(),
-                              wrapper.suspected_peers().begin(),
-                              wrapper.suspected_peers().end());
-    }
     for (const OutArc& out : set.out_arcs(v)) {
       if (!relaxed)
         FDLSP_REQUIRE(out.final, "unfinalized arc after completion");
@@ -354,13 +319,11 @@ ScheduleResult run_randomized(const Graph& graph,
   if (!relaxed)
     FDLSP_REQUIRE(result.coloring.complete(),
                   "randomized left arcs uncolored");
-  std::sort(result.suspected.begin(), result.suspected.end());
-  result.suspected.erase(
-      std::unique(result.suspected.begin(), result.suspected.end()),
-      result.suspected.end());
   result.num_slots = result.coloring.num_colors_used();
-  result.rounds = metrics.rounds;
-  result.messages = metrics.messages;
+  result.rounds = run.metrics.rounds;
+  result.messages = run.metrics.messages;
+  result.transport = run.transport;
+  result.suspected = std::move(run.suspected);
   return result;
 }
 

@@ -42,36 +42,9 @@ bool checksum_ok(NodeId from, NodeId to, const Message& message) {
                        message.data.size() - 1);
 }
 
-Message make_frame(NodeId from, NodeId to, std::int64_t seq,
-                   std::int64_t inner_round, const Message& original) {
-  Message frame;
-  frame.from = from;
-  frame.tag = kReliableFrameTag;
-  frame.data.reserve(kHeaderWords + original.data.size());
-  frame.data.push_back(0);  // checksum slot
-  frame.data.push_back(seq);
-  frame.data.push_back(inner_round);
-  frame.data.push_back(original.tag);
-  frame.data.insert(frame.data.end(), original.data.begin(),
-                    original.data.end());
-  frame.data[0] =
-      wire_checksum(from, to, frame.data.data() + 1, frame.data.size() - 1);
-  return frame;
-}
-
-Message unframe(const Message& frame) {
-  Message original;
-  original.from = frame.from;
-  original.tag = static_cast<std::int32_t>(frame.data[3]);
-  original.data.assign(frame.data.begin() +
-                           static_cast<std::ptrdiff_t>(kHeaderWords),
-                       frame.data.end());
-  return original;
-}
-
-/// Buffer-reusing variants for the async wrapper's recycling pool: the
-/// destination's spilled capacity survives, so a recycled Message frames or
-/// unframes without touching the allocator.
+/// Frames `original` into `frame`, reusing the destination's buffer: a
+/// recycled Message (the async wrapper's pool) keeps its spilled capacity,
+/// so it frames or unframes without touching the allocator.
 void make_frame_into(Message& frame, NodeId from, NodeId to, std::int64_t seq,
                      std::int64_t inner_round, const Message& original) {
   frame.from = from;
@@ -166,7 +139,7 @@ constexpr std::size_t kSyncProbeInterval = 4;
 
 }  // namespace
 
-std::size_t ReliableSyncProgram::round_dilation(const FaultSpec& spec) {
+std::size_t ReliableSyncSet::round_dilation(const FaultSpec& spec) {
   const std::size_t one_way = one_way_budget(spec);
   const std::size_t stall = stall_bound(spec);
   // Adaptive pacing spaces attempts up to kSyncWorstSpacing rounds apart,
@@ -185,10 +158,8 @@ std::size_t ReliableSyncProgram::round_dilation(const FaultSpec& spec) {
   return dilation;
 }
 
-ReliableSyncProgram::ReliableSyncProgram(std::unique_ptr<SyncProgram> inner,
-                                         const FaultSpec& spec)
-    : inner_(std::move(inner)), dilation_(round_dilation(spec)) {
-  FDLSP_REQUIRE(inner_ != nullptr, "reliable wrapper needs a program");
+ReliableSyncSet::ReliableSyncSet(SyncProgramSet& inner, const FaultSpec& spec)
+    : inner_(inner), dilation_(round_dilation(spec)), nodes_(inner.size()) {
   // A live peer acks every delivered frame within two rounds, so failed
   // attempts past the *round-trip* loss budget cannot be explained by
   // bounded loss alone — only by a down window or a dead peer. Probing must
@@ -199,60 +170,78 @@ ReliableSyncProgram::ReliableSyncProgram(std::unique_ptr<SyncProgram> inner,
   probe_budget_ = stall_bound(spec) / kSyncProbeInterval + round_trip + 4;
 }
 
-ReliableSyncProgram::PeerState& ReliableSyncProgram::peer_state(NodeId peer) {
+TransportStats ReliableSyncSet::transport_stats() const {
+  TransportStats total;
+  for (const Node& node : nodes_) total.merge(node.stats);
+  return total;
+}
+
+std::vector<NodeId> ReliableSyncSet::suspected() const {
+  std::vector<NodeId> all;
+  for (const Node& node : nodes_)
+    all.insert(all.end(), node.ever_suspected.begin(),
+               node.ever_suspected.end());
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  return all;
+}
+
+ReliableSyncSet::PeerState& ReliableSyncSet::peer_state(Node& node,
+                                                        NodeId peer) {
   auto it = std::lower_bound(
-      peers_.begin(), peers_.end(), peer,
+      node.peers.begin(), node.peers.end(), peer,
       [](const PeerState& state, NodeId id) { return state.peer < id; });
-  if (it == peers_.end() || it->peer != peer) {
-    it = peers_.insert(it, PeerState{});
+  if (it == node.peers.end() || it->peer != peer) {
+    it = node.peers.insert(it, PeerState{});
     it->peer = peer;
   }
   return *it;
 }
 
-bool ReliableSyncProgram::channels_idle() const {
-  for (const PeerState& state : peers_)
+bool ReliableSyncSet::channels_idle(const Node& node) {
+  for (const PeerState& state : node.peers)
     if (!state.pending.empty() || !state.parked.empty() ||
         !state.buffered.empty())
       return false;
   return true;
 }
 
-void ReliableSyncProgram::heard(PeerState& state, std::size_t round) {
+void ReliableSyncSet::heard(Node& node, PeerState& state, std::size_t round) {
   state.fails = 0;
   if (state.health != PeerHealth::kSuspected) return;
   // Recovery: the peer answered a probe (or simply spoke) — re-trust it and
   // resume the parked traffic on this round's sweep.
   state.health = PeerHealth::kTrusted;
-  ++stats_.retrusts;
+  ++node.stats.retrusts;
   state.pending = std::move(state.parked);
   state.parked.clear();
   state.next_retx = round;
 }
 
-void ReliableSyncProgram::handle_frame(SyncContext& ctx,
-                                       const Message& message) {
+void ReliableSyncSet::handle_frame(Node& node, SyncContext& ctx,
+                                   const Message& message) {
   FDLSP_REQUIRE(message.data.size() >= kHeaderWords,
                 "reliable frame too short");
   if (!checksum_ok(message.from, ctx.self(), message)) return;  // corrupted
-  PeerState& state = peer_state(message.from);
-  heard(state, ctx.round());
-  if (std::find(ack_due_.begin(), ack_due_.end(), message.from) ==
-      ack_due_.end())
-    ack_due_.push_back(message.from);
+  PeerState& state = peer_state(node, message.from);
+  heard(node, state, ctx.round());
+  if (std::find(node.ack_due.begin(), node.ack_due.end(), message.from) ==
+      node.ack_due.end())
+    node.ack_due.push_back(message.from);
   const std::int64_t seq = message.data[1];
   if (seq <= state.received) return;      // duplicate: just re-ack
   if (seq > state.received + 1) return;   // gap: go-back-N will resend
   state.received = seq;
-  state.buffered.push_back(BufferedFrame{seq, message.data[2],
-                                         unframe(message)});
+  BufferedFrame& buffered =
+      state.buffered.emplace_back(BufferedFrame{seq, message.data[2], {}});
+  unframe_into(buffered.original, message);
 }
 
-void ReliableSyncProgram::handle_ack(const Message& message,
-                                     std::size_t round) {
+void ReliableSyncSet::handle_ack(Node& node, const Message& message,
+                                 std::size_t round) {
   // Size and checksum already verified at the call site.
-  PeerState& state = peer_state(message.from);
-  heard(state, round);
+  PeerState& state = peer_state(node, message.from);
+  heard(node, state, round);
   const std::int64_t cumulative = message.data[1];
   if (cumulative <= state.acked) return;
   state.acked = cumulative;
@@ -261,19 +250,20 @@ void ReliableSyncProgram::handle_ack(const Message& message,
   });
 }
 
-void ReliableSyncProgram::capture_send(SyncContext& ctx, NodeId to,
-                                       Message message) {
-  PeerState& state = peer_state(to);
+void ReliableSyncSet::capture_send(SyncContext& ctx, NodeId to,
+                                   const Message& message) {
+  Node& node = nodes_[ctx.self()];
+  PeerState& state = peer_state(node, to);
   if (state.health == PeerHealth::kDead) {
     // The detector already declared this peer dead; the inner program's
     // message can never be delivered, so it is dropped like the rest.
-    ++stats_.abandoned;
+    ++node.stats.abandoned;
     ++state.next_seq;
     return;
   }
-  Message frame = make_frame(ctx.self(), to, state.next_seq,
-                             static_cast<std::int64_t>(next_inner_round_),
-                             message);
+  Message frame;
+  make_frame_into(frame, ctx.self(), to, state.next_seq,
+                  static_cast<std::int64_t>(node.next_inner_round), message);
   if (state.health == PeerHealth::kSuspected) {
     state.parked.push_back(PendingFrame{state.next_seq, frame});
     ++state.next_seq;
@@ -286,21 +276,23 @@ void ReliableSyncProgram::capture_send(SyncContext& ctx, NodeId to,
   ctx.send(to, std::move(frame));
 }
 
-std::size_t ReliableSyncProgram::backoff_interval(const SyncContext& ctx,
-                                                  const PeerState& state) {
+std::size_t ReliableSyncSet::backoff_interval(Node& node,
+                                              const SyncContext& ctx,
+                                              const PeerState& state) {
   const std::size_t shift = std::min<std::size_t>(state.fails / 2, 4);
   const std::size_t base =
       std::min<std::size_t>(kSyncBaseInterval << shift, kSyncMaxInterval);
   const std::size_t jitter =
       jitter_hash(ctx.self(), state.peer, state.fails) & 1;
   const std::size_t interval = base + jitter;
-  if (static_cast<double>(interval) > stats_.max_backoff)
-    stats_.max_backoff = static_cast<double>(interval);
+  if (static_cast<double>(interval) > node.stats.max_backoff)
+    node.stats.max_backoff = static_cast<double>(interval);
   return interval;
 }
 
-void ReliableSyncProgram::sweep(SyncContext& ctx, std::size_t round) {
-  for (PeerState& state : peers_) {
+void ReliableSyncSet::sweep(Node& node, SyncContext& ctx,
+                            std::size_t round) const {
+  for (PeerState& state : node.peers) {
     if (state.health == PeerHealth::kDead) continue;
     if (state.health == PeerHealth::kSuspected) {
       if (round < state.next_retx) continue;
@@ -309,7 +301,7 @@ void ReliableSyncProgram::sweep(SyncContext& ctx, std::size_t round) {
         // loss budget — the peer is dead. Drop its traffic so the run can
         // quiesce; the inner algorithms degrade as under a crash.
         state.health = PeerHealth::kDead;
-        stats_.abandoned += state.pending.size() + state.parked.size();
+        node.stats.abandoned += state.pending.size() + state.parked.size();
         state.pending.clear();
         state.parked.clear();
         continue;
@@ -317,7 +309,7 @@ void ReliableSyncProgram::sweep(SyncContext& ctx, std::size_t round) {
       ctx.send(state.peer,
                make_heartbeat(ctx.self(), state.peer, state.received));
       ++state.probes_sent;
-      ++stats_.probes;
+      ++node.stats.probes;
       state.next_retx = round + kSyncProbeInterval;
       continue;
     }
@@ -327,66 +319,69 @@ void ReliableSyncProgram::sweep(SyncContext& ctx, std::size_t round) {
       // Bounded loss alone cannot explain this much silence: suspect the
       // peer, shelve its data, and fall back to heartbeat probing.
       state.health = PeerHealth::kSuspected;
-      ++stats_.suspicions;
-      auto it = std::lower_bound(ever_suspected_.begin(),
-                                 ever_suspected_.end(), state.peer);
-      if (it == ever_suspected_.end() || *it != state.peer)
-        ever_suspected_.insert(it, state.peer);
+      ++node.stats.suspicions;
+      auto it = std::lower_bound(node.ever_suspected.begin(),
+                                 node.ever_suspected.end(), state.peer);
+      if (it == node.ever_suspected.end() || *it != state.peer)
+        node.ever_suspected.insert(it, state.peer);
       state.parked = std::move(state.pending);
       state.pending.clear();
       state.probes_sent = 1;
       ctx.send(state.peer,
                make_heartbeat(ctx.self(), state.peer, state.received));
-      ++stats_.probes;
+      ++node.stats.probes;
       state.next_retx = round + kSyncProbeInterval;
       continue;
     }
-    for (const PendingFrame& frame : state.pending) ctx.send(state.peer, frame.frame);
-    stats_.retransmits += state.pending.size();
-    state.next_retx = round + backoff_interval(ctx, state);
+    for (const PendingFrame& frame : state.pending)
+      ctx.send(state.peer, frame.frame);
+    node.stats.retransmits += state.pending.size();
+    state.next_retx = round + backoff_interval(node, ctx, state);
   }
 }
 
-void ReliableSyncProgram::on_round(SyncContext& ctx,
-                                   const SyncInbox& inbox) {
+void ReliableSyncSet::on_round(NodeId v, SyncContext& ctx,
+                               const SyncInbox& inbox) {
+  Node& node = nodes_[v];
   const std::size_t round = ctx.round();
-  ack_due_.clear();
+  node.ack_due.clear();
   for (const Message& message : inbox) {
     if (message.tag == kReliableFrameTag) {
-      handle_frame(ctx, message);
+      handle_frame(node, ctx, message);
     } else if (message.tag == kReliableAckTag) {
       FDLSP_REQUIRE(message.data.size() == kAckWords,
                     "reliable ack malformed");
       if (checksum_ok(message.from, ctx.self(), message))
-        handle_ack(message, round);
+        handle_ack(node, message, round);
     } else if (message.tag == kReliableHeartbeatTag) {
       FDLSP_REQUIRE(message.data.size() == kAckWords,
                     "reliable heartbeat malformed");
       if (!checksum_ok(message.from, ctx.self(), message)) continue;
       // A heartbeat is an ack that demands an answer: absorb its
       // cumulative ack, then queue a reply so the prober hears us.
-      handle_ack(message, round);
-      if (std::find(ack_due_.begin(), ack_due_.end(), message.from) ==
-          ack_due_.end())
-        ack_due_.push_back(message.from);
+      handle_ack(node, message, round);
+      if (std::find(node.ack_due.begin(), node.ack_due.end(),
+                    message.from) == node.ack_due.end())
+        node.ack_due.push_back(message.from);
     } else {
       FDLSP_REQUIRE(false, "unexpected wire tag under reliable wrapper");
     }
   }
-  for (NodeId peer : ack_due_)
-    ctx.send(peer, make_ack(ctx.self(), peer, peer_state(peer).received));
+  for (NodeId peer : node.ack_due)
+    ctx.send(peer,
+             make_ack(ctx.self(), peer, peer_state(node, peer).received));
 
-  sweep(ctx, round);
+  sweep(node, ctx, round);
 
   // Window boundary: assemble the previous inner round's inbox and run the
   // wrapped program one round.
   if (round % dilation_ != 0) return;
-  next_inner_round_ = round / dilation_;
+  node.next_inner_round = round / dilation_;
   std::vector<Message> assembled;
-  for (PeerState& state : peers_) {
+  for (PeerState& state : node.peers) {
     for (BufferedFrame& frame : state.buffered) {
       FDLSP_REQUIRE(frame.inner_round + 1 ==
-                        static_cast<std::int64_t>(next_inner_round_),
+                        static_cast<std::int64_t>(node.next_inner_round),
                     "late frame: reliable dilation window violated");
       assembled.push_back(std::move(frame.original));
     }
@@ -394,27 +389,28 @@ void ReliableSyncProgram::on_round(SyncContext& ctx,
   }
   // Match the engine's native semantics: a finished program runs again only
   // when mail arrives for it.
-  if (inner_->finished() && assembled.empty()) return;
-  const SyncSendSink sink = [this, &ctx](NodeId to, Message message) {
-    capture_send(ctx, to, std::move(message));
+  if (inner_.finished(v) && assembled.empty()) return;
+  const SyncCaptureSink capture = [this, &ctx](NodeId to,
+                                               const Message& message) {
+    capture_send(ctx, to, message);
   };
-  SyncContext inner_ctx = ctx.reframed(next_inner_round_, &sink);
-  inner_->on_round(inner_ctx, SyncInbox(assembled));
+  SyncContext inner_ctx = ctx.reframed(node.next_inner_round, &capture);
+  inner_.on_round(v, inner_ctx, SyncInbox(assembled));
 }
 
-bool ReliableSyncProgram::ready_for_phase_advance() const {
+bool ReliableSyncSet::ready_for_phase_advance(NodeId v) const {
   // The engine's barrier promises "no messages in flight"; at this layer
   // that means no unacked or shelved outbound frames and no buffered
   // inbound frames the wrapped program has not consumed yet.
-  return inner_->ready_for_phase_advance() && channels_idle();
+  return inner_.ready_for_phase_advance(v) && channels_idle(nodes_[v]);
 }
 
-void ReliableSyncProgram::on_phase(std::size_t new_phase) {
-  inner_->on_phase(new_phase);
+void ReliableSyncSet::on_phase(NodeId v, std::size_t new_phase) {
+  inner_.on_phase(v, new_phase);
 }
 
-bool ReliableSyncProgram::finished() const {
-  return inner_->finished() && channels_idle();
+bool ReliableSyncSet::finished(NodeId v) const {
+  return inner_.finished(v) && channels_idle(nodes_[v]);
 }
 
 // ---------------------------------------------------------------------------

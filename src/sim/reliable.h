@@ -6,9 +6,10 @@
 // deployment would: each original message is framed with a checksum and a
 // per-peer sequence number, retransmitted until cumulatively acked, verified
 // and deduplicated on receipt, and handed to the wrapped program in order.
-// The wrapped program is unchanged — it talks through a reframed context
+// The wrapped protocol is unchanged — it talks through a reframed context
 // (SyncContext::reframed / AsyncContext::reframed) whose sends the wrapper
-// captures, frames, and schedules.
+// captures, frames, and schedules. The synchronous wrapper decorates a
+// whole SyncProgramSet; the asynchronous one wraps one AsyncProgram.
 //
 // Why this terminates under a FaultPlan: losses per channel are bounded
 // (FaultSpec::max_losses_per_channel i.i.d.+PRR, FaultSpec::burst_cap for
@@ -38,19 +39,22 @@
 //     pending frames are dropped (counted as `abandoned`) and the channel
 //     quiesces. Under loss-only plans a live peer is never even suspected;
 //     under churn/outage plans it may be suspected transiently but is never
-//     declared dead. Suspicions are exported (suspected_peers) so the
-//     verify layer can hold the detector to completeness (crashed peers get
-//     suspected) and accuracy (nobody else does).
+//     declared dead. Suspicions are exported (ReliableSyncSet::suspected,
+//     ReliableAsyncProgram::suspected_peers) so the verify layer can hold
+//     the detector to completeness (crashed peers get suspected) and
+//     accuracy (nobody else does).
 //
 // Synchronous wrapper — round dilation. Lock-step rounds are the engine's
 // semantic, so reliability must preserve "all round-k messages arrive
-// before round k+1". The wrapper runs inner round k at outer round k*R
-// (R = round_dilation(spec)) and uses the R-1 outer rounds in
-// between as the retransmission window: frames carry their inner round
-// number, receivers buffer them per peer, and the inner inbox for round k
-// is assembled — sorted by (peer, sequence) for determinism — once the
-// window guarantees every round-k frame has landed. A frame surfacing after
-// its assembly point would mean the window math is wrong and fails loudly.
+// before round k+1". ReliableSyncSet runs inner round k at outer round k*R
+// (R = round_dilation(spec)) and uses the R-1 outer rounds in between as
+// the retransmission window: frames carry their inner round number,
+// receivers buffer them per peer, and the inner inbox for round k is
+// assembled — sorted by (peer, sequence) for determinism — once the window
+// guarantees every round-k frame has landed. A frame surfacing after its
+// assembly point would mean the window math is wrong and fails loudly. The
+// inner set's sends are captured through a borrowing SyncCaptureSink;
+// framing reads only the message's tag and data.
 //
 // Asynchronous wrapper — timer retransmit. No rounds to piggyback on, so
 // unacked frames are retransmitted on a timer (AsyncContext::set_timer);
@@ -103,14 +107,16 @@ struct TransportStats {
   }
 };
 
-/// Reliable-delivery wrapper for the synchronous engine (round dilation).
-class ReliableSyncProgram final : public SyncProgram {
+/// Reliable-delivery decorator for the synchronous engine (round dilation):
+/// a SyncProgramSet that hardens every node of an inner set. Transport state
+/// is per node, in a vector indexed by node id, so pooled shards run the
+/// decorator exactly like any other set.
+class ReliableSyncSet final : public SyncProgramSet {
  public:
-  /// `spec` must be the spec of the FaultPlan installed on the engine: the
-  /// dilation factor and the detector budgets are derived from its loss
-  /// bounds.
-  ReliableSyncProgram(std::unique_ptr<SyncProgram> inner,
-                      const FaultSpec& spec);
+  /// `inner` must outlive the decorator. `spec` must be the spec of the
+  /// FaultPlan installed on the engine: the dilation factor and the
+  /// detector budgets are derived from its loss bounds.
+  ReliableSyncSet(SyncProgramSet& inner, const FaultSpec& spec);
 
   /// Outer rounds per inner round: the retransmission window sized so that
   /// bounded per-channel loss (i.i.d. + PRR + burst budgets), every finite
@@ -118,22 +124,20 @@ class ReliableSyncProgram final : public SyncProgram {
   /// a frame past its assembly point.
   static std::size_t round_dilation(const FaultSpec& spec);
 
-  /// The wrapped program (result extraction after a run).
-  SyncProgram& inner() noexcept { return *inner_; }
-  const SyncProgram& inner() const noexcept { return *inner_; }
+  /// Transport-layer work counters, merged across all nodes.
+  TransportStats transport_stats() const;
 
-  /// Transport-layer work counters for this node.
-  const TransportStats& transport_stats() const noexcept { return stats_; }
+  /// Peers any node's detector ever moved to kSuspected, sorted and unique.
+  std::vector<NodeId> suspected() const;
 
-  /// Peers this node's detector ever moved to kSuspected, ascending.
-  const std::vector<NodeId>& suspected_peers() const noexcept {
-    return ever_suspected_;
+  std::size_t size() const override { return inner_.size(); }
+  void prepare_shards(std::size_t shards) override {
+    inner_.prepare_shards(shards);
   }
-
-  void on_round(SyncContext& ctx, const SyncInbox& inbox) override;
-  bool ready_for_phase_advance() const override;
-  void on_phase(std::size_t new_phase) override;
-  bool finished() const override;
+  void on_round(NodeId v, SyncContext& ctx, const SyncInbox& inbox) override;
+  bool ready_for_phase_advance(NodeId v) const override;
+  void on_phase(NodeId v, std::size_t new_phase) override;
+  bool finished(NodeId v) const override;
 
  private:
   struct PendingFrame {
@@ -158,25 +162,31 @@ class ReliableSyncProgram final : public SyncProgram {
     std::vector<PendingFrame> parked;     // shelved while suspected
     std::vector<BufferedFrame> buffered;  // awaiting inner-round assembly
   };
+  /// One node's transport endpoint; only that node's callbacks touch it.
+  struct Node {
+    std::size_t next_inner_round = 0;  // next inner round to execute
+    std::vector<PeerState> peers;      // sorted by peer id
+    std::vector<NodeId> ack_due;       // peers to ack this round
+    std::vector<NodeId> ever_suspected;  // sorted, deduplicated
+    TransportStats stats;
+  };
 
-  PeerState& peer_state(NodeId peer);
-  void capture_send(SyncContext& ctx, NodeId to, Message message);
-  void handle_frame(SyncContext& ctx, const Message& message);
-  void handle_ack(const Message& message, std::size_t round);
-  void heard(PeerState& state, std::size_t round);
-  void sweep(SyncContext& ctx, std::size_t round);
-  std::size_t backoff_interval(const SyncContext& ctx, const PeerState& state);
-  bool channels_idle() const;
+  static PeerState& peer_state(Node& node, NodeId peer);
+  static bool channels_idle(const Node& node);
+  void capture_send(SyncContext& ctx, NodeId to, const Message& message);
+  void handle_frame(Node& node, SyncContext& ctx, const Message& message);
+  static void handle_ack(Node& node, const Message& message,
+                         std::size_t round);
+  static void heard(Node& node, PeerState& state, std::size_t round);
+  void sweep(Node& node, SyncContext& ctx, std::size_t round) const;
+  static std::size_t backoff_interval(Node& node, const SyncContext& ctx,
+                                      const PeerState& state);
 
-  std::unique_ptr<SyncProgram> inner_;
+  SyncProgramSet& inner_;
   std::size_t dilation_;
   std::size_t suspect_after_;  // failed sweeps before kSuspected
   std::size_t probe_budget_;   // heartbeats before kDead
-  std::size_t next_inner_round_ = 0;  // next inner round to execute
-  std::vector<PeerState> peers_;      // sorted by peer id
-  std::vector<NodeId> ack_due_;       // peers to ack this round
-  std::vector<NodeId> ever_suspected_;  // sorted, deduplicated
-  TransportStats stats_;
+  std::vector<Node> nodes_;    // indexed by node id
 };
 
 /// Reliable-delivery wrapper for the asynchronous engine (timer retransmit).

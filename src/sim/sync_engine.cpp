@@ -17,10 +17,6 @@ void SyncContext::send(NodeId to, Message message) {
     (*capture_)(to, message);
     return;
   }
-  if (sink_ != nullptr) {
-    (*sink_)(to, std::move(message));
-    return;
-  }
   // One binary search over the sender's sorted neighbor row both proves
   // neighbor-ness and yields the position the fault path's channel needs.
   const auto it = std::lower_bound(
@@ -73,24 +69,7 @@ void SyncContext::send_copy_at(std::size_t position, const Message& message) {
     (*capture_)(to, message);
     return;
   }
-  if (sink_ != nullptr) {
-    // Sinks take ownership; materialize the copy they expect (the reliable
-    // wrapper's framing path, never the zero-alloc hot path).
-    Message copy = message;
-    copy.from = self_;
-    (*sink_)(to, std::move(copy));
-    return;
-  }
   engine_->post(*outbox_, self_, position, message);
-}
-
-SyncEngine::SyncEngine(const Graph& graph,
-                       std::vector<std::unique_ptr<SyncProgram>> programs)
-    : graph_(graph),
-      owned_(std::make_unique<VectorProgramSet>(std::move(programs))),
-      set_(owned_.get()) {
-  FDLSP_REQUIRE(set_->size() == graph_.num_nodes(),
-                "one program per node required");
 }
 
 SyncEngine::SyncEngine(const Graph& graph, SyncProgramSet& set)
@@ -249,8 +228,6 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
       pool_->submit([&body, s] { body(s); });
     pool_->wait_idle();
   };
-  // current_node_ is only written with a trace attached, which forces the
-  // serial path, so workers never share it.
   const auto phase_shard = [&](std::size_t s, std::size_t new_phase) {
     std::ptrdiff_t dfin = 0;
     std::ptrdiff_t drdy = 0;
@@ -258,12 +235,8 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
     for (std::size_t i = plan.lo(s); i < hi; ++i) {
       const NodeId v = static_cast<NodeId>(i);
       if (is_down(v)) continue;
-      if (trace_ != nullptr) {
-        trace_->on_local_step(v);
-        current_node_ = v;
-      }
+      if (trace_ != nullptr) trace_->on_local_step(v);
       set_->on_phase(v, new_phase);
-      if (trace_ != nullptr) current_node_ = kNoNode;
       refresh(v, dfin, drdy);
     }
     shard_fin[s] = dfin;
@@ -299,7 +272,6 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
         for (const Message& message : inbox)
           trace_->on_deliver(message.from, v);
         trace_->on_local_step(v);
-        current_node_ = v;
       }
       SyncContext ctx(this, v, graph_.neighbors(v), round_no, phase);
       ctx.outbox_ = &outbox;
@@ -308,7 +280,6 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
       ctx.shard_ = s;
       const std::size_t unicasts = outbox.unicasts();
       set_->on_round(v, ctx, inbox);
-      if (trace_ != nullptr) current_node_ = kNoNode;
       FDLSP_ASSERT(outbox.size() <= UINT32_MAX, "outbox range overflow");
       range.len = static_cast<std::uint32_t>(outbox.size()) - range.begin;
       range.unicasts =

@@ -53,7 +53,6 @@
 #include <cstdint>
 #include <functional>
 #include <iterator>
-#include <memory>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -70,16 +69,14 @@ class AllocAudit;
 class SyncEngine;
 class ThreadPool;
 
-/// Capture target for a reframed context's sends (see SyncContext::reframed).
-using SyncSendSink = std::function<void(NodeId to, Message message)>;
-
-/// Non-owning capture target (see SyncContext::external): the sink borrows
-/// the message for the duration of the call — it must copy what it keeps —
-/// and the message's `from` field is unspecified (the capturing layer knows
-/// which node it drives). This is the zero-alloc twin of SyncSendSink: a
-/// spilled payload is never materialized into a temporary per receiver, so
-/// a capture layer with recycled buffers (sim/synchronizer.h) adds no
-/// allocator traffic to a program's steady state.
+/// Capture target of a context whose sends a harness layer intercepts
+/// (SyncContext::reframed, SyncContext::external): the sink borrows the
+/// message for the duration of the call — it must copy what it keeps — and
+/// the message's `from` field is unspecified (the capturing layer knows
+/// which node it drives). A spilled payload is never materialized into a
+/// temporary per receiver, so a capture layer with recycled buffers
+/// (sim/synchronizer.h) adds no allocator traffic to a program's steady
+/// state.
 using SyncCaptureSink = std::function<void(NodeId to, const Message& message)>;
 
 /// Destination of a broadcast outbox entry: every neighbor of the sender.
@@ -388,23 +385,23 @@ class SyncContext {
   void broadcast(const Message& message);
 
   /// A copy of this context for a protocol layered *inside* another program
-  /// (sim/reliable.h): round() reports the wrapped protocol's own round
-  /// counter and send()/broadcast() feed `sink` instead of the engine, so
-  /// the outer program can frame and schedule the traffic itself. `sink`
-  /// must outlive the copy.
-  SyncContext reframed(std::size_t round, const SyncSendSink* sink) const {
+  /// set (sim/reliable.h): round() reports the wrapped protocol's own round
+  /// counter and send()/broadcast() feed `capture` instead of the engine, so
+  /// the outer set can frame and schedule the traffic itself. `capture`
+  /// must be non-null and outlive the copy.
+  SyncContext reframed(std::size_t round,
+                       const SyncCaptureSink* capture) const {
+    FDLSP_REQUIRE(capture != nullptr, "reframed contexts need a capture sink");
     SyncContext copy = *this;
     copy.round_ = round;
-    copy.sink_ = sink;
+    copy.capture_ = capture;
     return copy;
   }
 
-  /// A detached context for harness layers that drive SyncPrograms outside
+  /// A detached context for harness layers that drive program sets outside
   /// a SyncEngine (the round synchronizer, sim/synchronizer.h): there is no
   /// engine behind it — send()/broadcast() feed `capture`, which must be
-  /// non-null and outlive the context. Unlike the owning SyncSendSink seam,
-  /// the capture sink borrows each message (see SyncCaptureSink), so the
-  /// hot path stays allocation-free.
+  /// non-null and outlive the context.
   static SyncContext external(NodeId self,
                               std::span<const NeighborEntry> neighbors,
                               std::size_t round, std::size_t phase,
@@ -427,10 +424,8 @@ class SyncContext {
         phase_(phase) {}
 
   // True when sends go straight into the outbox: an engine context with no
-  // capture, no sink, and no fault plan to expand broadcasts for.
-  bool direct() const noexcept {
-    return capture_ == nullptr && sink_ == nullptr && !expand_;
-  }
+  // capture and no fault plan to expand broadcasts for.
+  bool direct() const noexcept { return capture_ == nullptr && !expand_; }
 
   // One copy of `message` to neighbors_[position], for every path but the
   // direct one.
@@ -441,44 +436,20 @@ class SyncContext {
   std::span<const NeighborEntry> neighbors_;
   std::size_t round_;
   std::size_t phase_;
-  const SyncSendSink* sink_ = nullptr;  // non-null: capture instead of send
-  // Non-null: borrow-capture instead of send (external contexts only).
-  const SyncCaptureSink* capture_ = nullptr;
+  const SyncCaptureSink* capture_ = nullptr;  // non-null: capture, not send
   SyncSendSlab* outbox_ = nullptr;  // the executing shard's outbox
   SimTrace* trace_ = nullptr;       // attached trace (serial path only)
   bool expand_ = false;  // fault plan attached: one entry per receiver
   std::size_t shard_ = 0;  // executing shard (0 = serial)
 };
 
-/// A node program for the synchronous engine.
-class SyncProgram {
- public:
-  virtual ~SyncProgram() = default;
-
-  /// Executes one round: consume this round's inbox, send next round's
-  /// messages. Called once per round for every node, in unspecified order
-  /// (sends are buffered, so order cannot be observed).
-  virtual void on_round(SyncContext& ctx, const SyncInbox& inbox) = 0;
-
-  /// True when this node is ready for the current phase to end. The engine
-  /// advances the phase (calling on_phase on everyone) once all nodes vote
-  /// ready *and* no messages are in flight.
-  virtual bool ready_for_phase_advance() const = 0;
-
-  /// Notification that the global phase counter advanced.
-  virtual void on_phase(std::size_t new_phase) = 0;
-
-  /// True when this node has terminated. The run ends when all nodes have.
-  virtual bool finished() const = 0;
-};
-
-/// A whole population of node programs behind one object — the
-/// structure-of-arrays seam (DESIGN.md §14). Where the per-node SyncProgram
-/// interface forces one heap object per node, a set keeps hot per-node
-/// state in parallel arrays indexed by node id and per-shard scratch
-/// indexed by ctx.shard(), so a shard's round touches dense shard-local
-/// memory. The engine calls exactly the same callbacks, just with the node
-/// id made explicit.
+/// The node programs of a synchronous run: one object for the whole
+/// population, every callback naming its node (DESIGN.md §14). A set keeps
+/// hot per-node state in parallel arrays (or a vector of per-node structs)
+/// indexed by node id and per-shard scratch indexed by ctx.shard(), so a
+/// shard's round touches dense shard-local memory. Harness layers compose
+/// by decoration: a set that wraps another set (sim/reliable.h) forwards
+/// each callback with the same node id.
 class SyncProgramSet {
  public:
   virtual ~SyncProgramSet() = default;
@@ -495,66 +466,22 @@ class SyncProgramSet {
   /// Sets whose per-shard data is pure scratch may be re-prepared.
   virtual void prepare_shards(std::size_t shards) { (void)shards; }
 
-  /// Per-node callbacks; semantics exactly as in SyncProgram.
+  /// Executes one round of node v: consume this round's inbox, send next
+  /// round's messages. Called once per round for every node, in
+  /// unspecified order (sends are buffered, so order cannot be observed).
   virtual void on_round(NodeId v, SyncContext& ctx,
                         const SyncInbox& inbox) = 0;
+
+  /// True when node v is ready for the current phase to end. The engine
+  /// advances the phase (calling on_phase for everyone) once all nodes vote
+  /// ready *and* no messages are in flight.
   virtual bool ready_for_phase_advance(NodeId v) const = 0;
+
+  /// Notification to node v that the global phase counter advanced.
   virtual void on_phase(NodeId v, std::size_t new_phase) = 0;
+
+  /// True when node v has terminated. The run ends when all nodes have.
   virtual bool finished(NodeId v) const = 0;
-};
-
-/// Adapter: the classic one-heap-object-per-node program vector behind the
-/// SyncProgramSet interface. The engine's per-node-program constructor
-/// wraps its vector in one of these, so every existing protocol runs on
-/// the sharded engine unchanged.
-class VectorProgramSet final : public SyncProgramSet {
- public:
-  explicit VectorProgramSet(std::vector<std::unique_ptr<SyncProgram>> programs)
-      : programs_(std::move(programs)) {}
-
-  std::size_t size() const override { return programs_.size(); }
-  void on_round(NodeId v, SyncContext& ctx,
-                const SyncInbox& inbox) override {
-    programs_[v]->on_round(ctx, inbox);
-  }
-  bool ready_for_phase_advance(NodeId v) const override {
-    return programs_[v]->ready_for_phase_advance();
-  }
-  void on_phase(NodeId v, std::size_t new_phase) override {
-    programs_[v]->on_phase(new_phase);
-  }
-  bool finished(NodeId v) const override { return programs_[v]->finished(); }
-
-  SyncProgram& program(NodeId v) { return *programs_[v]; }
-  const SyncProgram& program(NodeId v) const { return *programs_[v]; }
-
- private:
-  std::vector<std::unique_ptr<SyncProgram>> programs_;
-};
-
-/// Adapter in the other direction: one node's view of a SyncProgramSet as
-/// a standalone SyncProgram. This is how a set-backed protocol composes
-/// with per-node wrappers (sim/reliable.h hardens each node separately);
-/// the set must outlive the adapter.
-class SetNodeProgram final : public SyncProgram {
- public:
-  SetNodeProgram(SyncProgramSet& set, NodeId self)
-      : set_(&set), self_(self) {}
-
-  void on_round(SyncContext& ctx, const SyncInbox& inbox) override {
-    set_->on_round(self_, ctx, inbox);
-  }
-  bool ready_for_phase_advance() const override {
-    return set_->ready_for_phase_advance(self_);
-  }
-  void on_phase(std::size_t new_phase) override {
-    set_->on_phase(self_, new_phase);
-  }
-  bool finished() const override { return set_->finished(self_); }
-
- private:
-  SyncProgramSet* set_;
-  NodeId self_;
 };
 
 /// Metrics of a synchronous run.
@@ -566,16 +493,11 @@ struct SyncMetrics {
   FaultStats faults;         ///< injected faults (all zero without a plan)
 };
 
-/// Drives a set of SyncPrograms over a communication graph.
+/// Drives a SyncProgramSet over a communication graph.
 class SyncEngine {
  public:
-  /// The graph must outlive the engine. One program per node, same order.
-  SyncEngine(const Graph& graph,
-             std::vector<std::unique_ptr<SyncProgram>> programs);
-
-  /// Structure-of-arrays form: the set is not owned and must outlive the
-  /// engine. program() is unavailable on this path — extract results from
-  /// the set itself.
+  /// The graph and the set must outlive the engine; the set has one node
+  /// per graph node. Results are extracted from the set after the run.
   SyncEngine(const Graph& graph, SyncProgramSet& set);
 
   /// Runs until every program reports finished() or the round cap is hit.
@@ -622,24 +544,6 @@ class SyncEngine {
   /// Not owned; must outlive the run.
   void set_alloc_audit(AllocAudit* audit) noexcept { alloc_audit_ = audit; }
 
-  /// Program of node v (for extracting results after the run). Only valid
-  /// with the per-node-program constructor; a set-backed engine has no
-  /// per-node program objects. Calling this from inside a program callback
-  /// for a node other than the one executing is a cross-node state read and
-  /// is reported to the attached trace.
-  SyncProgram& program(NodeId v) {
-    FDLSP_REQUIRE(owned_ != nullptr,
-                  "program() requires the per-node-program constructor");
-    note_program_access(v);
-    return owned_->program(v);
-  }
-  const SyncProgram& program(NodeId v) const {
-    FDLSP_REQUIRE(owned_ != nullptr,
-                  "program() requires the per-node-program constructor");
-    note_program_access(v);
-    return owned_->program(v);
-  }
-
  private:
   friend class SyncContext;
   void note_unicast(NodeId to) noexcept {
@@ -649,14 +553,8 @@ class SyncEngine {
   void post(SyncSendSlab& outbox, NodeId from, std::size_t position,
             const Message& message);
 
-  void note_program_access(NodeId v) const {
-    if (trace_ != nullptr && current_node_ != kNoNode && current_node_ != v)
-      trace_->on_state_read(current_node_, v);
-  }
-
   const Graph& graph_;
-  std::unique_ptr<VectorProgramSet> owned_;  // per-node-program ctor only
-  SyncProgramSet* set_;                      // the programs driving the run
+  SyncProgramSet* set_;  // the programs driving the run
   // Double-buffered outboxes, one slab per shard, and each node's range in
   // them: round r writes outboxes_/ranges_ while its inboxes read
   // last_outboxes_/last_ranges_ (round r-1); the two swap between rounds.
@@ -679,7 +577,6 @@ class SyncEngine {
   ChannelTable channels_;                     // fault path only
   std::vector<std::uint64_t> channel_posts_;  // fault path only
   std::size_t current_round_ = 0;             // fault path only
-  NodeId current_node_ = kNoNode;  // node whose callback is executing
 };
 
 }  // namespace fdlsp

@@ -18,10 +18,11 @@
 //     after any on_deliver events for the messages that callback consumes.
 //   * on_state_read(reader, owner) fires when the program of `reader`,
 //     while executing, obtains the program object of a different node
-//     `owner` through SyncEngine::program() / AsyncEngine::program() — the
-//     only sanctioned way simulated nodes share an address space. Reads
-//     performed outside any program callback (the drivers collecting
-//     results after run()) are not reported.
+//     `owner` through AsyncEngine::program() — the only sanctioned way
+//     simulated nodes share an address space. Reads performed outside any
+//     program callback (the drivers collecting results after run()) are
+//     not reported. SyncEngine hands out no per-node program objects (its
+//     programs are one SyncProgramSet), so it never fires this event.
 #pragma once
 
 #include "graph/types.h"

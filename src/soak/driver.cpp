@@ -161,8 +161,13 @@ SoakDriver::Scheduled SoakDriver::schedule(const ArcView& view,
   Scheduled out;
   if (options_.distributed) {
     DistRepairResult dist = run_distributed_repair(
-        view.graph(), stale, event_seed, options_.max_rounds, options_.trace,
-        options_.faults, options_.reliable, options_.pool);
+        view.graph(), stale,
+        {.seed = event_seed,
+         .trace = options_.trace,
+         .faults = options_.faults,
+         .reliable = options_.reliable,
+         .pool = options_.pool},
+        options_.max_rounds);
     out.coloring = std::move(dist.coloring);
     if (!dist.completed || !out.coloring.complete() ||
         find_violation(view, out.coloring, &*index_).has_value()) {

@@ -164,7 +164,7 @@ OracleVerdict check_burst_quiescence(SchedulerKind kind, const Graph& graph,
   // watchdog behind `completed`, already checked above.
   if (faulted.rounds > 0 && spec.crash_fraction == 0.0) {
     const ScheduleResult clean = run_scheduler(kind, graph, {.seed = seed});
-    const std::size_t dilation = ReliableSyncProgram::round_dilation(spec);
+    const std::size_t dilation = ReliableSyncSet::round_dilation(spec);
     const std::size_t bound = (clean.rounds + 8) * dilation;
     if (faulted.rounds > bound) {
       verdict.ok = false;
@@ -248,7 +248,7 @@ CrashRecoveryReport check_crash_recovery(SchedulerKind kind,
   if (report.orphaned_arcs == 0) return report;  // nothing to repair
 
   const DistRepairResult repaired =
-      run_distributed_repair(graph, stale, seed);
+      run_distributed_repair(graph, stale, {.seed = seed});
   report.repair_rounds = repaired.rounds;
   report.repair_messages = repaired.messages;
 

@@ -19,7 +19,7 @@ TEST(DistRepair, ColorsFromScratch) {
   const Graph graph = generate_cycle(8);
   const ArcView view(graph);
   const auto result =
-      run_distributed_repair(graph, ArcColoring(view.num_arcs()), 3);
+      run_distributed_repair(graph, ArcColoring(view.num_arcs()), {.seed = 3});
   EXPECT_TRUE(is_feasible_schedule(view, result.coloring));
   EXPECT_EQ(result.recolored_arcs, view.num_arcs());
   EXPECT_GT(result.rounds, 0u);
@@ -30,7 +30,7 @@ TEST(DistRepair, KeepsFeasibleScheduleUntouched) {
   const Graph graph = generate_gnm(25, 55, rng);
   const ArcView view(graph);
   const ArcColoring good = greedy_coloring(view);
-  const auto result = run_distributed_repair(graph, good, 5);
+  const auto result = run_distributed_repair(graph, good, {.seed = 5});
   EXPECT_TRUE(is_feasible_schedule(view, result.coloring));
   EXPECT_EQ(result.recolored_arcs, 0u);
   EXPECT_EQ(result.coloring.raw(), good.raw());
@@ -41,7 +41,7 @@ TEST(DistRepair, FixesInjectedConflict) {
   const ArcView view(path);
   ArcColoring bad = greedy_coloring(view);
   bad.set(view.find_arc(2, 3), bad.color(view.find_arc(0, 1)));
-  const auto result = run_distributed_repair(path, bad, 7);
+  const auto result = run_distributed_repair(path, bad, {.seed = 7});
   EXPECT_TRUE(is_feasible_schedule(view, result.coloring));
   EXPECT_GE(result.recolored_arcs, 1u);
   EXPECT_LT(result.recolored_arcs, view.num_arcs());
@@ -60,7 +60,8 @@ TEST(DistRepair, NodeJoinIsLocal) {
   const ArcColoring transferred =
       transfer_coloring(old_view, old_coloring, new_view);
 
-  const auto result = run_distributed_repair(new_graph, transferred, 9);
+  const auto result =
+      run_distributed_repair(new_graph, transferred, {.seed = 9});
   EXPECT_TRUE(is_feasible_schedule(new_view, result.coloring));
   EXPECT_LT(result.recolored_arcs, new_view.num_arcs() / 2);
 }
@@ -79,7 +80,7 @@ TEST(DistRepair, ChurnSequenceStaysFeasible) {
     const ArcColoring transferred =
         transfer_coloring(ArcView(graph), coloring, new_view);
     const auto result =
-        run_distributed_repair(new_graph, transferred, 100 + step);
+        run_distributed_repair(new_graph, transferred, {.seed = 100 + step});
     ASSERT_TRUE(is_feasible_schedule(new_view, result.coloring))
         << "step " << step;
     graph = new_graph;
@@ -100,7 +101,8 @@ TEST(DistRepair, AgreesWithCentralizedRepairOnCost) {
   const ArcColoring transferred =
       transfer_coloring(ArcView(old_graph), old_coloring, new_view);
 
-  const auto distributed = run_distributed_repair(new_graph, transferred, 11);
+  const auto distributed =
+      run_distributed_repair(new_graph, transferred, {.seed = 11});
   const auto centralized = repair_schedule(new_view, transferred);
   EXPECT_TRUE(is_feasible_schedule(new_view, distributed.coloring));
   EXPECT_TRUE(is_feasible_schedule(new_view, centralized.coloring));
@@ -115,14 +117,15 @@ TEST(DistRepair, DeterministicUnderSeed) {
   const Graph graph = generate_gnm(20, 40, rng);
   const ArcView view(graph);
   const ArcColoring empty(view.num_arcs());
-  const auto a = run_distributed_repair(graph, empty, 77);
-  const auto b = run_distributed_repair(graph, empty, 77);
+  const auto a = run_distributed_repair(graph, empty, {.seed = 77});
+  const auto b = run_distributed_repair(graph, empty, {.seed = 77});
   EXPECT_EQ(a.coloring.raw(), b.coloring.raw());
   EXPECT_EQ(a.rounds, b.rounds);
 }
 
 TEST(DistRepair, EdgelessGraph) {
-  const auto result = run_distributed_repair(Graph(3), ArcColoring(0), 1);
+  const auto result =
+      run_distributed_repair(Graph(3), ArcColoring(0), {.seed = 1});
   EXPECT_EQ(result.num_slots, 0u);
 }
 

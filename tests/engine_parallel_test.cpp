@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +25,7 @@
 #include "exp/workloads.h"
 #include "graph/arcs.h"
 #include "graph/generators.h"
+#include "node_set.h"
 #include "sim/shard.h"
 #include "sim/sync_engine.h"
 #include "support/rng.h"
@@ -195,10 +195,11 @@ TEST(ParallelEngine, DistributedRepairMatchesSerial) {
   ArcColoring stale = greedy_coloring(view);
   // Invalidate a slice of the schedule so repair has real work to do.
   for (ArcId a = 0; a < stale.num_arcs(); a += 3) stale.clear(a);
-  const DistRepairResult serial = run_distributed_repair(graph, stale, 11);
+  const DistRepairResult serial =
+      run_distributed_repair(graph, stale, {.seed = 11});
   ThreadPool pool(4);
-  const DistRepairResult parallel = run_distributed_repair(
-      graph, stale, 11, 1'000'000, nullptr, nullptr, false, &pool);
+  const DistRepairResult parallel =
+      run_distributed_repair(graph, stale, {.seed = 11, .pool = &pool});
   EXPECT_EQ(serial.coloring.raw(), parallel.coloring.raw());
   EXPECT_EQ(serial.recolored_arcs, parallel.recolored_arcs);
   EXPECT_EQ(serial.rounds, parallel.rounds);
@@ -286,10 +287,15 @@ TEST(ShardedEngine, FaultPlanForcesSerialPathWithShardingConfigured) {
   }
   // The seam decision itself, stated directly on the engine: pool + shards
   // configured, but an installed fault plan pins the plan to one shard.
+  struct Unused {
+    void on_round(SyncContext&, const SyncInbox&) {}
+    bool ready_for_phase_advance() const { return true; }
+    void on_phase(std::size_t) {}
+    bool finished() const { return true; }
+  };
   const Graph graph = materialize(scenarios.front());
-  std::vector<std::unique_ptr<SyncProgram>> none;
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) none.push_back(nullptr);
-  SyncEngine engine(graph, std::move(none));
+  NodeSet<Unused> none(graph.num_nodes(), Unused{});
+  SyncEngine engine(graph, none);
   engine.set_thread_pool(&pool);
   engine.set_shards(4);
   EXPECT_EQ(engine.planned_shards(), 4u);
@@ -299,24 +305,36 @@ TEST(ShardedEngine, FaultPlanForcesSerialPathWithShardingConfigured) {
 }
 
 TEST(ShardedEngine, ReliableWrapperRunsShardedAndMatchesSerial) {
-  // The reliable path drives the SoA set through per-node adapters; the
-  // sharded run must still match the serial one byte-for-byte.
+  // Without a fault plan the reliable decorator runs on pooled shards: its
+  // per-node transport state is a vector indexed by node, written by
+  // whichever worker owns the node, and the inner set's per-shard scratch
+  // is prepared through the decorator. The sharded run must match the
+  // serial one byte-for-byte, transport counters and suspicions included.
   const std::vector<Scenario> scenarios = sample_scenarios(4, 0xab1e, 16);
   ThreadPool pool(4);
-  for (const Scenario& scenario : scenarios) {
-    const Graph graph = materialize(scenario);
-    DistMisOptions serial_options;
-    serial_options.seed = scenario.seed;
-    serial_options.reliable = true;
-    const ScheduleResult serial = run_dist_mis(graph, serial_options);
-    DistMisOptions sharded_options = serial_options;
-    sharded_options.pool = &pool;
-    sharded_options.shards = 4;
-    const ScheduleResult sharded = run_dist_mis(graph, sharded_options);
-    ASSERT_EQ(serial.coloring.raw(), sharded.coloring.raw())
-        << repro_command(scenario, SchedulerKind::kDistMisGbg);
-    EXPECT_EQ(serial.rounds, sharded.rounds);
-    EXPECT_EQ(serial.messages, sharded.messages);
+  for (const SchedulerKind kind :
+       {SchedulerKind::kDistMisGbg, SchedulerKind::kRandomized}) {
+    for (const Scenario& scenario : scenarios) {
+      const Graph graph = materialize(scenario);
+      const RunConfig serial_config{.seed = scenario.seed, .reliable = true};
+      const ScheduleResult serial = run_scheduler(kind, graph, serial_config);
+      RunConfig sharded_config = serial_config;
+      sharded_config.pool = &pool;
+      sharded_config.shards = 4;
+      const ScheduleResult sharded =
+          run_scheduler(kind, graph, sharded_config);
+      ASSERT_EQ(serial.coloring.raw(), sharded.coloring.raw())
+          << repro_command(scenario, kind);
+      EXPECT_EQ(serial.rounds, sharded.rounds);
+      EXPECT_EQ(serial.messages, sharded.messages);
+      EXPECT_EQ(serial.transport.retransmits, sharded.transport.retransmits);
+      EXPECT_EQ(serial.transport.probes, sharded.transport.probes);
+      EXPECT_EQ(serial.transport.suspicions, sharded.transport.suspicions);
+      EXPECT_EQ(serial.transport.retrusts, sharded.transport.retrusts);
+      EXPECT_EQ(serial.transport.abandoned, sharded.transport.abandoned);
+      EXPECT_EQ(serial.transport.max_backoff, sharded.transport.max_backoff);
+      EXPECT_EQ(serial.suspected, sharded.suspected);
+    }
   }
 }
 
@@ -326,11 +344,12 @@ TEST(ShardedEngine, RepairMatchesSerialForExplicitShardCounts) {
   const ArcView view(graph);
   ArcColoring stale = greedy_coloring(view);
   for (ArcId a = 0; a < stale.num_arcs(); a += 3) stale.clear(a);
-  const DistRepairResult serial = run_distributed_repair(graph, stale, 11);
+  const DistRepairResult serial =
+      run_distributed_repair(graph, stale, {.seed = 11});
   ThreadPool pool(4);
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
     const DistRepairResult sharded = run_distributed_repair(
-        graph, stale, 11, 1'000'000, nullptr, nullptr, false, &pool, shards);
+        graph, stale, {.seed = 11, .pool = &pool, .shards = shards});
     ASSERT_EQ(serial.coloring.raw(), sharded.coloring.raw())
         << "shards=" << shards;
     EXPECT_EQ(serial.recolored_arcs, sharded.recolored_arcs);

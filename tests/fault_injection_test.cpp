@@ -305,8 +305,8 @@ TEST(FaultInjectionTest, HardenedRepairSurvivesLossyRun) {
     for (const NeighborEntry& entry : graph.neighbors(0))
       stale.clear(view.arc_from(entry.edge, 0));
     const DistRepairResult repaired = run_distributed_repair(
-        graph, stale, scenario.seed, 1'000'000, nullptr, &spec,
-        /*reliable=*/true);
+        graph, stale,
+        {.seed = scenario.seed, .faults = &spec, .reliable = true});
     EXPECT_TRUE(repaired.completed);
     EXPECT_TRUE(is_feasible_schedule(view, repaired.coloring))
         << "repro: "
@@ -327,8 +327,8 @@ bool lossy_repair_fails(const Graph& graph, const FaultSpec& spec) {
   ArcColoring stale = clean.coloring;
   for (const NeighborEntry& entry : graph.neighbors(0))
     stale.clear(view.arc_from(entry.edge, 0));
-  const DistRepairResult repaired = run_distributed_repair(
-      graph, stale, 7, 1'000'000, nullptr, &spec, /*reliable=*/false);
+  const DistRepairResult repaired =
+      run_distributed_repair(graph, stale, {.seed = 7, .faults = &spec});
   return !repaired.completed ||
          !is_feasible_schedule(view, repaired.coloring);
 }

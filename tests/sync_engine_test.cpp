@@ -1,12 +1,12 @@
 // Tests for the synchronous LOCAL-model engine.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "graph/generators.h"
+#include "node_set.h"
 #include "sim/fault.h"
 #include "sim/sync_engine.h"
 #include "sim/trace.h"
@@ -17,234 +17,185 @@
 namespace fdlsp {
 namespace {
 
-/// Floods the maximum node id seen so far; node v finishes when it has been
-/// stable for `diameter` rounds. Classic leader-election-by-flooding.
-class MaxFloodProgram final : public SyncProgram {
- public:
-  MaxFloodProgram(NodeId self, std::size_t quiet_rounds_needed)
-      : best_(self), quiet_needed_(quiet_rounds_needed) {}
+/// Floods the maximum node id seen so far; a node finishes when it has been
+/// stable for `quiet_needed` rounds. Classic leader-election-by-flooding.
+struct MaxFlood {
+  NodeId best;
+  std::size_t quiet_needed;
+  std::size_t quiet = 0;
 
-  void on_round(SyncContext& ctx, const SyncInbox& inbox) override {
-    NodeId before = best_;
+  void on_round(SyncContext& ctx, const SyncInbox& inbox) {
+    NodeId before = best;
     for (const Message& message : inbox)
-      best_ = std::max(best_, static_cast<NodeId>(message.data[0]));
-    if (ctx.round() == 0 || best_ != before) {
+      best = std::max(best, static_cast<NodeId>(message.data[0]));
+    if (ctx.round() == 0 || best != before) {
       Message message;
       message.tag = 1;
-      message.data = {static_cast<std::int64_t>(best_)};
+      message.data = {static_cast<std::int64_t>(best)};
       ctx.broadcast(std::move(message));
-      quiet_ = 0;
+      quiet = 0;
     } else {
-      ++quiet_;
+      ++quiet;
     }
   }
-
-  bool ready_for_phase_advance() const override { return true; }
-  void on_phase(std::size_t) override {}
-  bool finished() const override { return quiet_ >= quiet_needed_; }
-
-  NodeId best() const { return best_; }
-
- private:
-  NodeId best_;
-  std::size_t quiet_ = 0;
-  std::size_t quiet_needed_;
+  bool ready_for_phase_advance() const { return true; }
+  void on_phase(std::size_t) {}
+  bool finished() const { return quiet >= quiet_needed; }
 };
 
 TEST(SyncEngine, FloodingConvergesToGlobalMax) {
   const Graph path = generate_path(8);
-  std::vector<std::unique_ptr<SyncProgram>> programs;
-  for (NodeId v = 0; v < 8; ++v)
-    programs.push_back(std::make_unique<MaxFloodProgram>(v, 10));
-  SyncEngine engine(path, std::move(programs));
+  std::vector<MaxFlood> nodes;
+  for (NodeId v = 0; v < 8; ++v) nodes.push_back({v, 10});
+  NodeSet<MaxFlood> set(std::move(nodes));
+  SyncEngine engine(path, set);
   const SyncMetrics metrics = engine.run();
   EXPECT_TRUE(metrics.completed);
-  for (NodeId v = 0; v < 8; ++v)
-    EXPECT_EQ(static_cast<MaxFloodProgram&>(engine.program(v)).best(), 7u);
+  for (NodeId v = 0; v < 8; ++v) EXPECT_EQ(set[v].best, 7u);
   // The max id (node 7) must travel 7 hops: at least 7 rounds.
   EXPECT_GE(metrics.rounds, 7u);
   EXPECT_GT(metrics.messages, 0u);
 }
 
 /// Counts rounds between phase advances; finishes after two phases.
-class PhaseProgram final : public SyncProgram {
- public:
-  void on_round(SyncContext&, const SyncInbox&) override {
-    ++rounds_seen_;
-  }
-  bool ready_for_phase_advance() const override { return true; }
-  void on_phase(std::size_t new_phase) override { phase_ = new_phase; }
-  bool finished() const override { return phase_ >= 2; }
+struct PhaseCounter {
+  std::size_t phase = 0;
+  std::size_t rounds_seen = 0;
 
-  std::size_t phase() const { return phase_; }
-  std::size_t rounds_seen() const { return rounds_seen_; }
-
- private:
-  std::size_t phase_ = 0;
-  std::size_t rounds_seen_ = 0;
+  void on_round(SyncContext&, const SyncInbox&) { ++rounds_seen; }
+  bool ready_for_phase_advance() const { return true; }
+  void on_phase(std::size_t new_phase) { phase = new_phase; }
+  bool finished() const { return phase >= 2; }
 };
 
 TEST(SyncEngine, BarrierAdvancesPhases) {
   const Graph path = generate_path(3);
-  std::vector<std::unique_ptr<SyncProgram>> programs;
-  for (int i = 0; i < 3; ++i)
-    programs.push_back(std::make_unique<PhaseProgram>());
-  SyncEngine engine(path, std::move(programs));
+  NodeSet<PhaseCounter> set(3, PhaseCounter{});
+  SyncEngine engine(path, set);
   const SyncMetrics metrics = engine.run(100);
   EXPECT_TRUE(metrics.completed);
   EXPECT_GE(metrics.phases, 2u);
 }
 
-/// Sends one message to an illegal (non-neighbor) target.
-class IllegalSendProgram final : public SyncProgram {
- public:
-  void on_round(SyncContext& ctx, const SyncInbox&) override {
+/// Never votes, never finishes; with `illegal` set it also sends one
+/// message per round to node 2 (two hops from node 0 on a path).
+struct Idler {
+  bool illegal = false;
+
+  void on_round(SyncContext& ctx, const SyncInbox&) {
+    if (!illegal) return;
     Message message;
     message.tag = 1;
-    ctx.send(2, std::move(message));  // node 2 is two hops away on a path
+    ctx.send(2, std::move(message));
   }
-  bool ready_for_phase_advance() const override { return false; }
-  void on_phase(std::size_t) override {}
-  bool finished() const override { return false; }
-};
-
-class IdleProgram final : public SyncProgram {
- public:
-  void on_round(SyncContext&, const SyncInbox&) override {}
-  bool ready_for_phase_advance() const override { return false; }
-  void on_phase(std::size_t) override {}
-  bool finished() const override { return false; }
+  bool ready_for_phase_advance() const { return false; }
+  void on_phase(std::size_t) {}
+  bool finished() const { return false; }
 };
 
 TEST(SyncEngine, RejectsNonNeighborSend) {
   const Graph path = generate_path(3);
-  std::vector<std::unique_ptr<SyncProgram>> programs;
-  programs.push_back(std::make_unique<IllegalSendProgram>());  // node 0
-  programs.push_back(std::make_unique<IdleProgram>());
-  programs.push_back(std::make_unique<IdleProgram>());
-  SyncEngine engine(path, std::move(programs));
+  NodeSet<Idler> set({Idler{true}, Idler{}, Idler{}});
+  SyncEngine engine(path, set);
   EXPECT_THROW(engine.run(10), contract_error);
 }
 
 TEST(SyncEngine, RoundCapStopsRunaway) {
   const Graph path = generate_path(2);
-  std::vector<std::unique_ptr<SyncProgram>> programs;
-  programs.push_back(std::make_unique<IdleProgram>());
-  programs.push_back(std::make_unique<IdleProgram>());
-  SyncEngine engine(path, std::move(programs));
+  NodeSet<Idler> set(2, Idler{});
+  SyncEngine engine(path, set);
   const SyncMetrics metrics = engine.run(25);
   EXPECT_FALSE(metrics.completed);
   EXPECT_EQ(metrics.rounds, 25u);
 }
 
-/// Finishes immediately but echoes every received message once — models a
-/// retired relay node.
-class RelayWhileFinished final : public SyncProgram {
- public:
-  void on_round(SyncContext& ctx, const SyncInbox& inbox) override {
-    for (const Message& message : inbox) {
-      if (message.data[0] > 0) {
-        Message copy;
-        copy.tag = message.tag;
-        copy.data = {message.data[0] - 1};
-        ctx.broadcast(std::move(copy));
-      }
-      ++relayed_;
+/// A TTL'd flood along a chain: the sender sends once then finishes,
+/// relays finish immediately but echo every received message, and the
+/// waiter finishes once it hears the flood.
+struct RelayChain {
+  enum class Role { kSender, kRelay, kWaiter };
+  Role role;
+  bool sent = false;
+  bool got_it = false;
+
+  void on_round(SyncContext& ctx, const SyncInbox& inbox) {
+    switch (role) {
+      case Role::kSender:
+        if (sent) return;
+        sent = true;
+        ctx.broadcast(Message{0, 1, {3}});
+        return;
+      case Role::kRelay:
+        for (const Message& message : inbox)
+          if (message.data[0] > 0)
+            ctx.broadcast(Message{0, message.tag, {message.data[0] - 1}});
+        return;
+      case Role::kWaiter:
+        if (!inbox.empty()) got_it = true;
+        return;
     }
   }
-  bool ready_for_phase_advance() const override { return true; }
-  void on_phase(std::size_t) override {}
-  bool finished() const override { return true; }
-  std::size_t relayed() const { return relayed_; }
-
- private:
-  std::size_t relayed_ = 0;
-};
-
-/// Sends one TTL'd message then finishes.
-class OneShotSender final : public SyncProgram {
- public:
-  void on_round(SyncContext& ctx, const SyncInbox&) override {
-    if (sent_) return;
-    sent_ = true;
-    Message message;
-    message.tag = 1;
-    message.data = {3};
-    ctx.broadcast(std::move(message));
+  bool ready_for_phase_advance() const { return role != Role::kWaiter; }
+  void on_phase(std::size_t) {}
+  bool finished() const {
+    switch (role) {
+      case Role::kSender:
+        return sent;
+      case Role::kRelay:
+        return true;
+      case Role::kWaiter:
+        return got_it;
+    }
+    return false;
   }
-  bool ready_for_phase_advance() const override { return true; }
-  void on_phase(std::size_t) override {}
-  bool finished() const override { return sent_; }
-
- private:
-  bool sent_ = false;
 };
 
 TEST(SyncEngine, FinishedNodesStillRelayMessages) {
   // Retired DistMIS nodes must keep forwarding floods; the engine calls
   // finished programs whenever their inbox is non-empty. Node 3 waits for
   // the flood, nodes 1-2 are finished relays.
-  class WaitForMessage final : public SyncProgram {
-   public:
-    void on_round(SyncContext&, const SyncInbox& inbox) override {
-      if (!inbox.empty()) got_it_ = true;
-    }
-    bool ready_for_phase_advance() const override { return false; }
-    void on_phase(std::size_t) override {}
-    bool finished() const override { return got_it_; }
-    bool got_it_ = false;
-  };
+  using Role = RelayChain::Role;
   const Graph path = generate_path(4);
-  std::vector<std::unique_ptr<SyncProgram>> programs;
-  programs.push_back(std::make_unique<OneShotSender>());
-  programs.push_back(std::make_unique<RelayWhileFinished>());
-  programs.push_back(std::make_unique<RelayWhileFinished>());
-  programs.push_back(std::make_unique<WaitForMessage>());
-  SyncEngine engine(path, std::move(programs));
+  NodeSet<RelayChain> set({{Role::kSender},
+                           {Role::kRelay},
+                           {Role::kRelay},
+                           {Role::kWaiter}});
+  SyncEngine engine(path, set);
   const SyncMetrics metrics = engine.run(50);
   EXPECT_TRUE(metrics.completed);
   // The TTL'd flood crossed two *finished* relays to reach node 3.
-  EXPECT_TRUE(static_cast<WaitForMessage&>(engine.program(3)).got_it_);
+  EXPECT_TRUE(set[3].got_it);
 }
 
 TEST(SyncEngine, BarrierWaitsForInFlightMessages) {
   // A message sent right before everyone votes ready must be delivered in
   // the old phase, not swallowed by the barrier.
-  class SendThenReady final : public SyncProgram {
-   public:
-    void on_round(SyncContext& ctx, const SyncInbox& inbox) override {
-      received_ += inbox.size();
-      if (ctx.round() == 0) {
-        Message message;
-        message.tag = 1;
-        message.data = {0};
-        ctx.broadcast(std::move(message));
-      }
-      if (received_ >= 1 && phase_ >= 1) done_ = true;
+  struct SendThenReady {
+    std::size_t received = 0;
+    std::size_t phase = 0;
+    bool done = false;
+
+    void on_round(SyncContext& ctx, const SyncInbox& inbox) {
+      received += inbox.size();
+      if (ctx.round() == 0) ctx.broadcast(Message{0, 1, {0}});
+      if (received >= 1 && phase >= 1) done = true;
     }
-    bool ready_for_phase_advance() const override { return true; }
-    void on_phase(std::size_t new_phase) override { phase_ = new_phase; }
-    bool finished() const override { return done_; }
-    std::size_t received_ = 0;
-    std::size_t phase_ = 0;
-    bool done_ = false;
+    bool ready_for_phase_advance() const { return true; }
+    void on_phase(std::size_t new_phase) { phase = new_phase; }
+    bool finished() const { return done; }
   };
   const Graph path = generate_path(2);
-  std::vector<std::unique_ptr<SyncProgram>> programs;
-  programs.push_back(std::make_unique<SendThenReady>());
-  programs.push_back(std::make_unique<SendThenReady>());
-  SyncEngine engine(path, std::move(programs));
+  NodeSet<SendThenReady> set(2, SendThenReady{});
+  SyncEngine engine(path, set);
   const SyncMetrics metrics = engine.run(20);
   EXPECT_TRUE(metrics.completed);
-  for (NodeId v = 0; v < 2; ++v)
-    EXPECT_EQ(static_cast<SendThenReady&>(engine.program(v)).received_, 1u);
+  for (NodeId v = 0; v < 2; ++v) EXPECT_EQ(set[v].received, 1u);
 }
 
 TEST(SyncEngine, RequiresOneProgramPerNode) {
   const Graph path = generate_path(3);
-  std::vector<std::unique_ptr<SyncProgram>> programs;
-  programs.push_back(std::make_unique<IdleProgram>());
-  EXPECT_THROW(SyncEngine(path, std::move(programs)), contract_error);
+  NodeSet<Idler> set(1, Idler{});
+  EXPECT_THROW(SyncEngine(path, set), contract_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -420,71 +371,53 @@ TEST(SyncInbox, FaultPathExpandsBroadcastsWithoutChangingInboxes) {
 TEST(SyncInbox, UnicastsToOtherNeighborsAreFilteredOut) {
   // Star: the center (node 0) addresses one unicast to leaf 2 only. Every
   // leaf pulls the center's outbox; only leaf 2 may hear it.
-  class CenterUnicast final : public SyncProgram {
-   public:
-    void on_round(SyncContext& ctx, const SyncInbox& inbox) override {
-      received_ += inbox.size();
-      if (ctx.round() == 0 && ctx.self() == 0) {
-        Message message;
-        message.tag = 7;
-        ctx.send(2, std::move(message));
-      }
-      ++rounds_;
+  struct CenterUnicast {
+    std::size_t received = 0;
+    std::size_t rounds = 0;
+
+    void on_round(SyncContext& ctx, const SyncInbox& inbox) {
+      received += inbox.size();
+      if (ctx.round() == 0 && ctx.self() == 0) ctx.send(2, Message{0, 7, {}});
+      ++rounds;
     }
-    bool ready_for_phase_advance() const override { return false; }
-    void on_phase(std::size_t) override {}
-    bool finished() const override { return rounds_ >= 2; }
-    std::size_t received_ = 0;
-    std::size_t rounds_ = 0;
+    bool ready_for_phase_advance() const { return false; }
+    void on_phase(std::size_t) {}
+    bool finished() const { return rounds >= 2; }
   };
   const Graph star = generate_star(5);
-  std::vector<std::unique_ptr<SyncProgram>> programs;
-  for (NodeId v = 0; v < 5; ++v)
-    programs.push_back(std::make_unique<CenterUnicast>());
-  SyncEngine engine(star, std::move(programs));
+  NodeSet<CenterUnicast> set(5, CenterUnicast{});
+  SyncEngine engine(star, set);
   const SyncMetrics metrics = engine.run(10);
   EXPECT_EQ(metrics.messages, 1u);
   for (NodeId v = 0; v < 5; ++v)
-    EXPECT_EQ(static_cast<CenterUnicast&>(engine.program(v)).received_,
-              v == 2 ? 1u : 0u)
-        << "node " << v;
+    EXPECT_EQ(set[v].received, v == 2 ? 1u : 0u) << "node " << v;
 }
 
 TEST(SyncInbox, FinishedNodeRunsOnlyWhenMailArrives) {
   // Node 1 is finished from the start; node 0 messages it in rounds 2 and
   // 5 only, so node 1 must run exactly in rounds 3 and 6.
-  class Pinger final : public SyncProgram {
-   public:
-    void on_round(SyncContext& ctx, const SyncInbox&) override {
-      if (ctx.round() == 2 || ctx.round() == 5) {
-        Message message;
-        message.tag = 1;
-        ctx.broadcast(std::move(message));
+  struct PingSleep {
+    bool pinger;
+    std::vector<std::size_t> ran_in;
+
+    void on_round(SyncContext& ctx, const SyncInbox& inbox) {
+      if (pinger) {
+        if (ctx.round() == 2 || ctx.round() == 5)
+          ctx.broadcast(Message{0, 1, {}});
+        return;
       }
-    }
-    bool ready_for_phase_advance() const override { return false; }
-    void on_phase(std::size_t) override {}
-    bool finished() const override { return false; }
-  };
-  class Sleeper final : public SyncProgram {
-   public:
-    void on_round(SyncContext& ctx, const SyncInbox& inbox) override {
       EXPECT_FALSE(inbox.empty());
-      ran_in_.push_back(ctx.round());
+      ran_in.push_back(ctx.round());
     }
-    bool ready_for_phase_advance() const override { return true; }
-    void on_phase(std::size_t) override {}
-    bool finished() const override { return true; }
-    std::vector<std::size_t> ran_in_;
+    bool ready_for_phase_advance() const { return !pinger; }
+    void on_phase(std::size_t) {}
+    bool finished() const { return !pinger; }
   };
   const Graph path = generate_path(2);
-  std::vector<std::unique_ptr<SyncProgram>> programs;
-  programs.push_back(std::make_unique<Pinger>());
-  programs.push_back(std::make_unique<Sleeper>());
-  SyncEngine engine(path, std::move(programs));
+  NodeSet<PingSleep> set({{true, {}}, {false, {}}});
+  SyncEngine engine(path, set);
   engine.run(8);
-  EXPECT_EQ(static_cast<Sleeper&>(engine.program(1)).ran_in_,
-            (std::vector<std::size_t>{3, 6}));
+  EXPECT_EQ(set[1].ran_in, (std::vector<std::size_t>{3, 6}));
 }
 
 TEST(SyncInbox, CrashedReceiverDropsExactlyItsPulledInbox) {

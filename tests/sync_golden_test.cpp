@@ -2,9 +2,10 @@
 //
 // tests/dist_mis_test.cpp pins fault-free DistMIS (broadcast traffic through
 // a SyncProgramSet). The runs here pin what it does not reach: unicast
-// `send` traffic (the randomized scheduler's vetoes), the per-node program
-// constructor (distributed repair), FaultPlan verdicts with and without the
-// reliable wrapper, and the exact event sequence a SimTrace observes. The
+// `send` traffic (the randomized scheduler's vetoes), distributed repair
+// (serial and pooled), FaultPlan verdicts with and without the reliable
+// decorator — its aggregated transport counters and suspicions included —
+// and the exact event sequence a SimTrace observes. The
 // equivalence suites only compare runs with each other; these absolute
 // values catch a delivery change that moves every path the same way — for
 // instance FaultPlan verdicts taken in another order, which shifts the
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <ostream>
 #include <utility>
+#include <vector>
 
 #include "algos/dist_mis.h"
 #include "algos/dist_repair.h"
@@ -90,6 +92,34 @@ Pin pin_of(const ScheduleResult& result, std::uint64_t extra) {
   return Pin{coloring_fingerprint(result.coloring), result.num_slots,
              result.rounds,  result.messages,
              result.completed, fault_counts(result.faults), extra};
+}
+
+/// The reliable transport's aggregate over all nodes: every TransportStats
+/// field plus an FNV hash of the merged suspected list.
+struct TransportPin {
+  /// retransmits, probes, suspicions, retrusts, abandoned.
+  std::array<std::uint64_t, 5> counts{};
+  double max_backoff = 0.0;
+  std::uint64_t suspected = 0;
+
+  friend bool operator==(const TransportPin&, const TransportPin&) = default;
+  friend std::ostream& operator<<(std::ostream& out, const TransportPin& pin) {
+    out << "{{";
+    for (std::size_t i = 0; i < pin.counts.size(); ++i)
+      out << (i == 0 ? "" : ", ") << pin.counts[i];
+    return out << "}, " << pin.max_backoff << ", 0x" << std::hex
+               << pin.suspected << std::dec << "}";
+  }
+};
+
+TransportPin transport_pin(const TransportStats& stats,
+                           const std::vector<NodeId>& suspected) {
+  std::uint64_t hash = kFnvBasis;
+  for (const NodeId node : suspected) hash = fnv_mix(hash, node);
+  return TransportPin{{stats.retransmits, stats.probes, stats.suspicions,
+                       stats.retrusts, stats.abandoned},
+                      stats.max_backoff,
+                      hash};
 }
 
 /// Folds every engine event, in order, into one hash.
@@ -186,14 +216,13 @@ TEST(SyncGolden, DistributedRepairMatchesPin) {
   constexpr Pin kPin{0xd7ab4f5c2f4bd3d3, 124, 73, 34413, true,
                      {0, 0, 0, 0, 0, 0, 0, 0}, 0x50};
   const auto [graph, stale] = stale_field();
-  EXPECT_EQ(pin_repair(run_distributed_repair(graph, stale, 9)), kPin)
+  EXPECT_EQ(pin_repair(run_distributed_repair(graph, stale, {.seed = 9})),
+            kPin)
       << "serial";
   ThreadPool pool(2);
   for (const std::size_t shards : {1u, 3u, 16u}) {
-    EXPECT_EQ(pin_repair(run_distributed_repair(graph, stale, 9, 1'000'000,
-                                                nullptr, nullptr, false,
-                                                &pool, shards)),
-              kPin)
+    const RunConfig config{.seed = 9, .pool = &pool, .shards = shards};
+    EXPECT_EQ(pin_repair(run_distributed_repair(graph, stale, config)), kPin)
         << "pooled/" << shards;
   }
 }
@@ -203,9 +232,40 @@ TEST(SyncGolden, UnhardenedRepairUnderNoisyPlanMatchesPin) {
                      {5511, 14434, 3306, 3895, 0, 0, 0, 0}, 0x50};
   const auto [graph, stale] = stale_field();
   const FaultSpec spec = noisy_spec(true);
-  EXPECT_EQ(pin_repair(run_distributed_repair(graph, stale, 9, 1'000'000,
-                                              nullptr, &spec, false)),
+  EXPECT_EQ(pin_repair(run_distributed_repair(graph, stale,
+                                              {.seed = 9, .faults = &spec})),
             kPin);
+}
+
+TEST(SyncGolden, ReliableRepairUnderNoisyPlanMatchesPin) {
+  constexpr Pin kPin{0xd7ab4f5c2f4bd3d3, 124, 7253, 63154, true,
+                     {2595, 3108, 1586, 2532, 0, 0, 0, 0}, 0x50};
+  constexpr TransportPin kTransport{{13702, 0, 0, 0, 0}, 5.0, kFnvBasis};
+  const auto [graph, stale] = stale_field();
+  const FaultSpec spec = noisy_spec(true);
+  const DistRepairResult result = run_distributed_repair(
+      graph, stale, {.seed = 9, .faults = &spec, .reliable = true});
+  EXPECT_EQ(pin_repair(result), kPin);
+  // The repair result carries no suspected list.
+  EXPECT_EQ(transport_pin(result.transport, {}), kTransport);
+}
+
+TEST(SyncGolden, ReliableRandomizedUnderCrashPlanMatchesPin) {
+  constexpr Pin kPin{0x82551cc63e21975d, 64, 6671, 27836, true,
+                     {1490, 0, 0, 0, 0, 0, 0, 2136}, 0x0};
+  constexpr TransportPin kTransport{{2530, 1040, 52, 0, 602}, 5.0,
+                                0x2efff7230aadc0df};
+  const Graph graph = field(120, 31);
+  FaultSpec spec;
+  spec.seed = 29;
+  spec.crash_fraction = 0.1;
+  spec.crash_horizon = 40.0;
+  spec.drop_rate = 0.05;
+  const ScheduleResult result = run_scheduler(
+      SchedulerKind::kRandomized, graph,
+      {.seed = 42, .faults = &spec, .reliable = true});
+  EXPECT_EQ(pin_of(result, 0), kPin);
+  EXPECT_EQ(transport_pin(result.transport, result.suspected), kTransport);
 }
 
 TEST(SyncGolden, DistMisUnderLossyPlanMatchesPin) {
@@ -230,6 +290,8 @@ TEST(SyncGolden, ReliableDistMisUnderNoisyPlanMatchesPin) {
   options.reliable = true;
   const ScheduleResult result = run_dist_mis(graph, options);
   EXPECT_EQ(pin_of(result, result.transport.retransmits), kPin);
+  constexpr TransportPin kTransport{{8063, 0, 0, 0, 0}, 5.0, kFnvBasis};
+  EXPECT_EQ(transport_pin(result.transport, result.suspected), kTransport);
 }
 
 TEST(SyncGolden, DistMisUnderCrashPlanMatchesPin) {

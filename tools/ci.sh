@@ -4,7 +4,8 @@
 #
 #   tools/ci.sh            # tier-1 (full suite, RelWithDebInfo)
 #   tools/ci.sh asan       # ASan+UBSan build, proptest-labeled suite
-#                          # plus the alloc and repair suites
+#                          # plus the alloc, repair, engine and golden
+#                          # suites
 #   tools/ci.sh tsan       # TSan build, the same selection, plus a
 #                          # repeat stress of the threaded suites
 #   tools/ci.sh faults     # fault-injection gate: faulttest-labeled suite,
@@ -52,6 +53,11 @@ run_sanitizer() {  # $1 = preset name (asan-ubsan | tsan)
   # Graph::offsets_ silently; only these Debug builds, where FDLSP_ASSERT
   # is live, catch such a read.
   ctest --test-dir "build-${preset}" -R '^(repair_test|dist_repair_test)$' \
+    --output-on-failure
+  # The engine and golden suites drive pooled shards 1/3/16 — DistMIS,
+  # randomized and distributed repair sets, and the reliable decorator's
+  # per-node transport vectors — so both run under each sanitizer too.
+  ctest --test-dir "build-${preset}" -R '^(sync_engine_test|sync_golden_test)$' \
     --output-on-failure
 }
 
