@@ -308,13 +308,6 @@ ScheduleResult run_dfs_schedule(const Graph& graph, const DfsOptions& options) {
   result.coloring = ArcColoring(view.num_arcs());
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
     const AsyncProgram& top = engine.program(v);
-    if (options.reliable) {
-      const auto& wrapper = static_cast<const ReliableAsyncProgram&>(top);
-      result.transport.merge(wrapper.transport_stats());
-      result.suspected.insert(result.suspected.end(),
-                              wrapper.suspected_peers().begin(),
-                              wrapper.suspected_peers().end());
-    }
     const auto& program =
         options.reliable
             ? static_cast<const DfsProgram&>(
@@ -329,10 +322,12 @@ ScheduleResult run_dfs_schedule(const Graph& graph, const DfsOptions& options) {
   }
   if (!relaxed)
     FDLSP_REQUIRE(result.coloring.complete(), "DFS left arcs uncolored");
-  std::sort(result.suspected.begin(), result.suspected.end());
-  result.suspected.erase(
-      std::unique(result.suspected.begin(), result.suspected.end()),
-      result.suspected.end());
+  const auto ledger = [&](NodeId v) -> auto& {
+    return static_cast<const ReliableAsyncProgram&>(engine.program(v)).ledger();
+  };
+  if (options.reliable)
+    merge_ledgers(graph.num_nodes(), ledger, result.transport,
+                  result.suspected);
   result.num_slots = result.coloring.num_colors_used();
   result.messages = metrics.messages;
   result.async_time = metrics.completion_time;

@@ -611,20 +611,12 @@ ScheduleResult run_dist_mis_async(const Graph& graph,
   result.messages = metrics.messages;
   result.async_time = async_metrics.completion_time;
   result.stall_diagnosis = async_metrics.stall_diagnosis;
-  if (options.reliable) {
-    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-      const auto& wrapper =
-          static_cast<const ReliableAsyncProgram&>(engine.program(v));
-      result.transport.merge(wrapper.transport_stats());
-      result.suspected.insert(result.suspected.end(),
-                              wrapper.suspected_peers().begin(),
-                              wrapper.suspected_peers().end());
-    }
-    std::sort(result.suspected.begin(), result.suspected.end());
-    result.suspected.erase(
-        std::unique(result.suspected.begin(), result.suspected.end()),
-        result.suspected.end());
-  }
+  const auto ledger = [&](NodeId v) -> auto& {
+    return static_cast<const ReliableAsyncProgram&>(engine.program(v)).ledger();
+  };
+  if (options.reliable)
+    merge_ledgers(graph.num_nodes(), ledger, result.transport,
+                  result.suspected);
   return result;
 }
 

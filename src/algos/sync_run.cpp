@@ -31,8 +31,9 @@ SyncRun run_sync(const Graph& graph, SyncProgramSet& set,
   run.metrics = engine.run(round_budget);
   run.faulted = plan.has_value();
   if (reliable.has_value()) {
-    run.transport = reliable->transport_stats();
-    run.suspected = reliable->suspected();
+    merge_ledgers(
+        set.size(), [&](NodeId v) -> auto& { return reliable->ledger(v); },
+        run.transport, run.suspected);
   }
   return run;
 }
