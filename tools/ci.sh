@@ -4,8 +4,8 @@
 #
 #   tools/ci.sh            # tier-1 (full suite, RelWithDebInfo)
 #   tools/ci.sh asan       # ASan+UBSan build, proptest-labeled suite
-#                          # plus the alloc, repair, engine and golden
-#                          # suites
+#                          # plus the alloc, repair, engine, golden and
+#                          # thread-pool suites
 #   tools/ci.sh tsan       # TSan build, the same selection, plus a
 #                          # repeat stress of the threaded suites
 #   tools/ci.sh faults     # fault-injection gate: faulttest-labeled suite,
@@ -58,6 +58,11 @@ run_sanitizer() {  # $1 = preset name (asan-ubsan | tsan)
   # randomized and distributed repair sets, and the reliable decorator's
   # per-node transport vectors — so both run under each sanitizer too.
   ctest --test-dir "build-${preset}" -R '^(sync_engine_test|sync_golden_test)$' \
+    --output-on-failure
+  # The ThreadPool itself (support_test) and the parallel experiment runner
+  # (exp_test) drive real workers, so both run under each sanitizer;
+  # conflict_index_test's parallel build already rides the proptest label.
+  ctest --test-dir "build-${preset}" -R '^(support_test|exp_test)$' \
     --output-on-failure
 }
 
